@@ -29,7 +29,6 @@ from .runtime import export_model, infer, inference_model, load_inference_model,
 from .trainer import (
     TrainConfig,
     config_from_dict,
-    config_to_dict,
     load_checkpoint,
     save_checkpoint,
     save_metrics,
@@ -60,7 +59,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def resolve_train_config(args) -> TrainConfig:
-    base = config_to_dict(TrainConfig())
+    base = asdict(TrainConfig())
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)

@@ -7,6 +7,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def _normalize(triple) -> tuple[str, str, str]:
     if hasattr(triple, "key"):
@@ -179,17 +181,6 @@ class LatencyReport:
     latencies_ms: tuple[float, ...]
 
 
-def _percentile(sorted_vals: list[float], q: float) -> float:
-    """Linear interpolation between closest ranks (inclusive method)."""
-    if not sorted_vals:
-        raise ValueError("no samples")
-    k = (len(sorted_vals) - 1) * q
-    lo, hi = int(math.floor(k)), int(math.ceil(k))
-    if lo == hi:
-        return sorted_vals[lo]
-    return sorted_vals[lo] * (hi - k) + sorted_vals[hi] * (k - lo)
-
-
 def benchmark_latency(infer_fn, texts, iterations: int = 1, warmup: int = 1) -> LatencyReport:
     """Time infer_fn over the text list and report latency/size statistics.
 
@@ -215,14 +206,14 @@ def benchmark_latency(infer_fn, texts, iterations: int = 1, warmup: int = 1) -> 
             ).encode("utf-8")
             req_bytes += len(request)
             resp_bytes += len(response)
-    ordered = sorted(latencies)
     n = len(latencies)
+    p50, p95 = np.percentile(latencies, [50, 95])
     return LatencyReport(
         requests=n,
         mean_ms=sum(latencies) / n,
-        p50_ms=_percentile(ordered, 0.50),
-        p95_ms=_percentile(ordered, 0.95),
-        max_ms=ordered[-1],
+        p50_ms=float(p50),
+        p95_ms=float(p95),
+        max_ms=max(latencies),
         mean_request_bytes=req_bytes / n,
         mean_response_bytes=resp_bytes / n,
         latencies_ms=tuple(latencies),

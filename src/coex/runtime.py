@@ -41,13 +41,6 @@ def model_fingerprint(params: ModelParams) -> str:
     return h.hexdigest()[:12]
 
 
-def _freeze(params: ModelParams) -> ModelParams:
-    for _, t in params.named_tensors():
-        t.requires_grad = False
-        t.grad = None
-    return params
-
-
 @dataclass
 class InferenceModel:
     """Frozen parameters plus everything needed to turn text into triples.
@@ -75,7 +68,7 @@ def inference_model(
     params: ModelParams, config: TrainConfig, vocab: Vocab, schema: RelationSchema
 ) -> InferenceModel:
     return InferenceModel(
-        params=_freeze(params),
+        params=params.freeze(),
         config=config.encoder,
         vocab=vocab,
         schema=schema,

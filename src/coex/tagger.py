@@ -13,7 +13,7 @@ the two binary cross-entropy terms are summed into one joint loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,9 +29,14 @@ from .autograd import (
     square,
     _make,
 )
-from .encoder import EncodedInput, EncoderConfig, EncoderParams, encode, init_encoder_params
-
-BCE_CLIP = 1e-7
+from .encoder import (
+    EncodedInput,
+    EncoderConfig,
+    EncoderParams,
+    LayerParams,
+    encode,
+    init_encoder_params,
+)
 
 
 class SchemaError(ValueError):
@@ -108,12 +113,7 @@ class ModelParams:
             ("position_emb", self.encoder.position_emb),
         ]
         for i, layer in enumerate(self.encoder.layers):
-            for fname in (
-                "w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o",
-                "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-                "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
-            ):
-                out.append((f"layer{i}.{fname}", getattr(layer, fname)))
+            out += [(f"layer{i}.{f.name}", getattr(layer, f.name)) for f in fields(LayerParams)]
         out.extend(
             [
                 ("subject_w", self.subject_w),
@@ -133,8 +133,10 @@ class ModelParams:
             t.zero_grad()
 
     def freeze(self):
+        """Drop every tensor out of autograd: no grad flag, no held gradient."""
         for _, t in self.named_tensors():
             t.requires_grad = False
+            t.grad = None
         return self
 
 
@@ -270,74 +272,35 @@ def condition_on_spans(hidden: Tensor, spans: list[Span]) -> Tensor:
     return _make(out, (hidden,), back)
 
 
-def bce_mean(scores: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted mean binary cross-entropy with activations clipped to
-    [1e-7, 1 - 1e-7]; gradient is zero where the clip binds."""
-    labels = np.asarray(labels, dtype=scores.dtype)
-    weights = np.broadcast_to(np.asarray(weights, dtype=scores.dtype), scores.shape)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("bce_mean: weights sum to zero")
-    s = np.clip(scores.data, BCE_CLIP, 1.0 - BCE_CLIP)
-    per = -(labels * np.log(s) + (1.0 - labels) * np.log1p(-s))
-    out = np.asarray((per * weights).sum() / total, dtype=scores.dtype)
-
-    def back(g):
-        inside = (scores.data > BCE_CLIP) & (scores.data < 1.0 - BCE_CLIP)
-        ds = weights * (s - labels) / (s * (1.0 - s)) / total
-        return (g * ds * inside,)
-
-    return _make(out, (scores,), back)
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-def pointer_bce_mean(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted mean BCE of squared-sigmoid activations, fused with the logits.
+def pointer_bce(
+    logits: Tensor, labels: np.ndarray, weights: np.ndarray, divisor: float
+) -> Tensor:
+    """Weighted sum of squared-sigmoid BCE terms over divisor, fused with the logits.
 
-    Equals bce_mean(square(sigmoid(logits)), ...) away from the clip rails but
-    stays exact under float32 saturation: the per-entry gradient is the bounded
-    closed form -2y(1-s) + (1-y)*2s^2/(1+s) with s = sigmoid(logit).
+    With divisor = the weight total this is the weighted mean, equal to the
+    unfused BCE of square(sigmoid(logits)) away from its clip rails; with
+    divisor = 1.0 the caller encodes per-group normalizers in the weights.
+    Fusion keeps it exact under float32 saturation: the per-entry gradient is
+    the bounded closed form -2y(1-s) + (1-y)*2s^2/(1+s) with s = sigmoid(logit).
     """
+    if divisor <= 0.0:
+        raise ValueError(f"pointer_bce: divisor must be positive, got {divisor}")
     z = logits.data
     labels = np.asarray(labels, dtype=z.dtype)
     weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), z.shape)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("pointer_bce_mean: weights sum to zero")
     e = np.exp(-np.abs(z))
     sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(z.dtype, copy=False)
     # -log(s^2) = 2*softplus(-z); -log(1-s^2) = softplus(z) - log1p(s)
     per = labels * 2.0 * _softplus(-z) + (1.0 - labels) * (_softplus(z) - np.log1p(sig))
-    out = np.asarray((per * weights).sum() / total, dtype=z.dtype)
+    out = np.asarray((per * weights).sum() / divisor, dtype=z.dtype)
 
     def back(g):
         dz = -2.0 * labels * (1.0 - sig) + (1.0 - labels) * 2.0 * sig * sig / (1.0 + sig)
-        return (g * weights * dz / total,)
-
-    return _make(out, (logits,), back)
-
-
-def pointer_bce_sum(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Weighted SUM of squared-sigmoid BCE terms; the caller owns normalization.
-
-    Same per-entry loss and bounded gradient as pointer_bce_mean, without the
-    division by the weight total, so mixed per-group normalizers can be encoded
-    directly in the weights.
-    """
-    z = logits.data
-    labels = np.asarray(labels, dtype=z.dtype)
-    weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), z.shape)
-    e = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(z.dtype, copy=False)
-    per = labels * 2.0 * _softplus(-z) + (1.0 - labels) * (_softplus(z) - np.log1p(sig))
-    out = np.asarray((per * weights).sum(), dtype=z.dtype)
-
-    def back(g):
-        dz = -2.0 * labels * (1.0 - sig) + (1.0 - labels) * 2.0 * sig * sig / (1.0 + sig)
-        return (g * weights * dz,)
+        return (g * weights * dz / divisor,)
 
     return _make(out, (logits,), back)
 
@@ -439,10 +402,11 @@ def joint_loss(
         hidden = encode(ex.input, params.encoder, config, training, rng)
         dtype = hidden.dtype
         w = ex.input.input_mask.astype(dtype)[:, None]
+        n_unmasked = float(w.sum())
 
         sc = subject_scores(hidden, params, config.dropout_p, training, rng)
         s_labels = np.stack([ex.subject_start, ex.subject_end], axis=1).astype(dtype)
-        subject_terms.append(pointer_bce_mean(sc.logits, s_labels, w))
+        subject_terms.append(pointer_bce(sc.logits, s_labels, w, 2 * n_unmasked))
 
         spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
         if not spans:
@@ -457,7 +421,6 @@ def joint_loss(
             labels[i, :, r:] = sub.object_end
         conditioned = condition_on_spans(hidden, spans)
         ro = relation_object_scores(conditioned, params, config.dropout_p, training, rng)
-        n_unmasked = float(w.sum())
         n_gold = len(ex.subjects)
         n_neg = len(ex.negative_spans)
         per_gold = 1.0 / (n_unmasked * 2 * r)
@@ -470,7 +433,7 @@ def joint_loss(
                 labels, rw.reshape(len(spans), n, 1), weighting
             ).reshape(len(spans) * n, 2 * r)
         relation_terms.append(
-            pointer_bce_sum(ro.logits, labels.reshape(len(spans) * n, 2 * r), rw)
+            pointer_bce(ro.logits, labels.reshape(len(spans) * n, 2 * r), rw, 1.0)
         )
 
     def average(terms):
@@ -511,13 +474,9 @@ def extract_triples(
     Returns de-duplicated triples ordered by subject start, relation index,
     object start. Surface strings come from character offsets.
     """
-    from .data import CLS_ID, SEP_ID, tokenize
+    from .data import CLS_ID, SEP_ID, _truncate, tokenize
 
-    tokens, offsets = tokenize(text)
-    if len(tokens) > config.max_seq_len:
-        cut = config.max_seq_len - 1
-        tokens = tokens[:cut] + ["[SEP]"]
-        offsets = offsets[:cut] + [(offsets[cut - 1][1], offsets[cut - 1][1])]
+    tokens, offsets = _truncate(*tokenize(text), config.max_seq_len)
     ids = vocab.encode(tokens)
     x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
     hidden = encode(x, params.encoder, config)
@@ -543,31 +502,4 @@ def extract_triples(
             if t.key() not in seen:
                 seen.add(t.key())
                 triples.append(t)
-    return triples
-
-
-def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
-    """Decode gold pointer labels back into triples (threshold semantics)."""
-    from .data import CLS_ID, SEP_ID
-
-    mask = content_mask(ex.input.input_ids, ex.input.input_mask, CLS_ID, SEP_ID)
-
-    def surface(span: Span) -> str:
-        return ex.text[ex.char_offsets[span.start][0] : ex.char_offsets[span.end][1]]
-
-    triples = []
-    seen = set()
-    for sub in ex.subjects:
-        for rel in range(len(schema)):
-            for o_span in decode_spans(sub.object_start[:, rel], sub.object_end[:, rel], mask):
-                t = Triple(
-                    subject=surface(sub.span),
-                    predicate=schema.predicates[rel],
-                    object=surface(o_span),
-                    subject_span=sub.span,
-                    object_span=o_span,
-                )
-                if t.key() not in seen:
-                    seen.add(t.key())
-                    triples.append(t)
     return triples

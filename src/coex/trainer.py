@@ -84,12 +84,6 @@ class TrainConfig:
         return LossWeighting(self.positive_boost, self.adjacent_boost, self.column_boost)
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["encoder"] = asdict(config.encoder)
-    return d
-
-
 def config_from_dict(d: dict) -> TrainConfig:
     enc = EncoderConfig(**d["encoder"])
     rest = {k: v for k, v in d.items() if k != "encoder"}
@@ -146,29 +140,6 @@ class TrainResult:
     best_params: ModelParams | None = None
     best_epoch: int | None = None
     best_f1: float | None = None
-
-
-def _clone_params(params: ModelParams) -> ModelParams:
-    def ct(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-    enc = params.encoder
-    layers = [
-        LayerParams(**{f: ct(getattr(l, f)) for f in LayerParams.__dataclass_fields__})
-        for l in enc.layers
-    ]
-    return ModelParams(
-        encoder=EncoderParams(
-            token_emb=ct(enc.token_emb),
-            segment_emb=ct(enc.segment_emb),
-            position_emb=ct(enc.position_emb),
-            layers=layers,
-        ),
-        subject_w=ct(params.subject_w),
-        subject_b=ct(params.subject_b),
-        relation_w=ct(params.relation_w),
-        relation_b=ct(params.relation_b),
-    )
 
 
 def _evaluate(params, config: TrainConfig, vocab, schema, eval_corpus):
@@ -236,7 +207,9 @@ def train(
             report = _evaluate(params, config, vocab, schema, eval_corpus)
             m.precision, m.recall, m.f1 = report.precision, report.recall, report.f1
             if best_f1 is None or report.f1 > best_f1:
-                best_params, best_epoch, best_f1 = _clone_params(params), epoch, report.f1
+                copies = {name: t.data.copy() for name, t in named}
+                best_params = _params_from_tensors(_header_dict(params, config), copies)[0]
+                best_epoch, best_f1 = epoch, report.f1
         metrics.append(m)
         if log is not None:
             line = (
@@ -265,7 +238,7 @@ def train(
 
 def _header_dict(params: ModelParams, config: TrainConfig, extra: dict | None = None) -> dict:
     header = {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "num_relations": params.num_relations,
         "tensors": [[name, list(t.shape)] for name, t in params.named_tensors()],
     }

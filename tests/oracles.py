@@ -1,0 +1,60 @@
+"""Reference implementations that only the tests use.
+
+bce_mean is the unfused weighted-mean BCE that pointer_bce is checked
+against; triples_from_labels decodes gold pointer labels back into triples.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from coex.autograd import Tensor, _make
+from coex.data import CLS_ID, SEP_ID
+from coex.tagger import RelationSchema, Span, Triple, content_mask, decode_spans
+
+BCE_CLIP = 1e-7
+
+
+def bce_mean(scores: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted mean binary cross-entropy with activations clipped to
+    [1e-7, 1 - 1e-7]; gradient is zero where the clip binds."""
+    labels = np.asarray(labels, dtype=scores.dtype)
+    weights = np.broadcast_to(np.asarray(weights, dtype=scores.dtype), scores.shape)
+    total = float(weights.sum())
+    if total <= 0.0:
+        raise ValueError("bce_mean: weights sum to zero")
+    s = np.clip(scores.data, BCE_CLIP, 1.0 - BCE_CLIP)
+    per = -(labels * np.log(s) + (1.0 - labels) * np.log1p(-s))
+    out = np.asarray((per * weights).sum() / total, dtype=scores.dtype)
+
+    def back(g):
+        inside = (scores.data > BCE_CLIP) & (scores.data < 1.0 - BCE_CLIP)
+        ds = weights * (s - labels) / (s * (1.0 - s)) / total
+        return (g * ds * inside,)
+
+    return _make(out, (scores,), back)
+
+
+def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
+    """Decode gold pointer labels back into triples (threshold semantics)."""
+    mask = content_mask(ex.input.input_ids, ex.input.input_mask, CLS_ID, SEP_ID)
+
+    def surface(span: Span) -> str:
+        return ex.text[ex.char_offsets[span.start][0] : ex.char_offsets[span.end][1]]
+
+    triples = []
+    seen = set()
+    for sub in ex.subjects:
+        for rel in range(len(schema)):
+            for o_span in decode_spans(sub.object_start[:, rel], sub.object_end[:, rel], mask):
+                t = Triple(
+                    subject=surface(sub.span),
+                    predicate=schema.predicates[rel],
+                    object=surface(o_span),
+                    subject_span=sub.span,
+                    object_span=o_span,
+                )
+                if t.key() not in seen:
+                    seen.add(t.key())
+                    triples.append(t)
+    return triples

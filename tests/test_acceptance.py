@@ -43,9 +43,9 @@ from coex.tagger import (
     joint_loss,
     relation_object_scores,
     subject_scores,
-    triples_from_labels,
 )
 from coex.trainer import TrainConfig, save_checkpoint, train
+from oracles import triples_from_labels
 
 
 def _line(num: int, ok: bool, detail: str):

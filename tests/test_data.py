@@ -29,7 +29,8 @@ from coex.data import (
     save_schema,
     tokenize,
 )
-from coex.tagger import SchemaError, Span, triples_from_labels
+from coex.tagger import SchemaError, Span
+from oracles import triples_from_labels
 
 
 def test_tokenize_cjk_chars_and_specials():

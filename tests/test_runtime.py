@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from coex.autograd import Rng
-from coex.data import SynthConfig, build_vocab, default_schema, generate_synthetic_corpus
+from coex.data import (
+    SynthConfig,
+    build_vocab,
+    default_schema,
+    encode_corpus,
+    generate_synthetic_corpus,
+)
 from coex.encoder import EncoderConfig
-from coex.tagger import extract_triples, init_model_params
+from coex.tagger import extract_triples, init_model_params, joint_loss
 from coex.trainer import CheckpointFormatError, CheckpointIntegrityError, TrainConfig
 from coex.runtime import (
     InferenceModel,
@@ -53,6 +59,17 @@ def test_inference_model_freezes_and_is_deterministic():
     first = infer(model, text)
     for _ in range(3):
         assert infer(model, text) == first
+
+
+def test_inference_model_drops_gradients_left_by_training():
+    corpus, vocab, schema, cfg, params = small_setup()
+    batch = encode_corpus(corpus[:2], vocab, schema, cfg.encoder.max_seq_len)
+    joint_loss(batch, params, cfg.encoder, Rng(1)).total.backward()
+    assert all(t.grad is not None for _, t in params.named_tensors())
+    model = inference_model(params, cfg, vocab, schema)
+    for name, t in model.params.named_tensors():
+        assert t.requires_grad is False, name
+        assert t.grad is None, name
 
 
 def test_infer_matches_library_extraction():

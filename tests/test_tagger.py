@@ -17,13 +17,11 @@ from coex.data import (
 )
 from coex.encoder import EncoderConfig
 from coex.tagger import (
-    pointer_bce_mean,
     LossWeighting,
     ModelParams,
     RelationSchema,
     SchemaError,
     Span,
-    bce_mean,
     condition_on_spans,
     condition_on_subject,
     decode_objects,
@@ -32,10 +30,12 @@ from coex.tagger import (
     extract_triples,
     init_model_params,
     joint_loss,
+    pointer_bce,
     relation_cell_weights,
     relation_object_scores,
     subject_scores,
 )
+from oracles import bce_mean
 
 LN075 = -math.log(0.75)  # BCE of a 0.25 score against a zero label
 
@@ -258,7 +258,7 @@ def test_pointer_bce_matches_unfused_form():
     a = bce_mean(sq(sg(za)), labels, weights)
     a.backward()
     zb = Tensor(z_data.copy(), requires_grad=True)
-    b = pointer_bce_mean(zb, labels, weights)
+    b = pointer_bce(zb, labels, weights, 12.0)  # 4 unmasked rows x 3 columns
     b.backward()
     assert b.item() == pytest.approx(a.item(), rel=1e-12)
     np.testing.assert_allclose(zb.grad, za.grad, atol=1e-12)
@@ -266,13 +266,30 @@ def test_pointer_bce_matches_unfused_form():
 
 def test_pointer_bce_hand_values_at_zero_logits():
     labels = np.zeros((2, 2))
-    out = pointer_bce_mean(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, np.ones((2, 1)))
+    out = pointer_bce(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, np.ones((2, 1)), 4.0)
     assert out.item() == pytest.approx(LN075, rel=1e-6)
     labels[1, 1] = 1.0
-    out2 = pointer_bce_mean(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, np.ones((2, 1)))
+    out2 = pointer_bce(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, np.ones((2, 1)), 4.0)
     assert out2.item() == pytest.approx((3 * LN075 + math.log(4.0)) / 4, rel=1e-6)
-    with pytest.raises(ValueError):
-        pointer_bce_mean(tensor([[0.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
+    for divisor in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            pointer_bce(tensor([[0.0]]), np.zeros((1, 1)), np.zeros((1, 1)), divisor)
+
+
+def test_pointer_bce_divisor_scales_loss_and_gradient():
+    rng = Rng(16)
+    z_data = rng.uniform(-3, 3, (4, 2), dtype=np.float32)
+    labels = (np.arange(8).reshape(4, 2) % 3 == 0).astype(np.float32)
+    weights = np.array([[0.5], [2.0], [0.0], [1.0]], dtype=np.float32)
+    za = Tensor(z_data.copy(), requires_grad=True)
+    total = pointer_bce(za, labels, weights, 1.0)
+    total.backward()
+    zb = Tensor(z_data.copy(), requires_grad=True)
+    mean = pointer_bce(zb, labels, weights, 7.0)  # the weight total over 4x2 cells
+    mean.backward()
+    assert mean.item() == pytest.approx(total.item() / 7.0, rel=1e-6)
+    np.testing.assert_allclose(zb.grad, za.grad / 7.0, rtol=1e-6)
+    np.testing.assert_array_equal(za.grad[2], 0.0)
 
 
 def test_pointer_bce_saturated_logits_keep_gradient():
@@ -280,7 +297,7 @@ def test_pointer_bce_saturated_logits_keep_gradient():
     # still push back with the full-strength bounded gradient
     z = Tensor(np.array([[-50.0], [50.0]], dtype=np.float32), requires_grad=True)
     labels = np.array([[1.0], [0.0]])
-    out = pointer_bce_mean(z, labels, np.ones((2, 1)))
+    out = pointer_bce(z, labels, np.ones((2, 1)), 2.0)
     assert math.isfinite(out.item())
     # -ln(sig(-50)^2) = 100; -ln(1 - sig(50)^2) = 50 - ln 2
     assert out.item() == pytest.approx((100.0 + 50.0 - math.log(2.0)) / 2, rel=1e-5)
@@ -296,7 +313,7 @@ def test_pointer_bce_gradient_check():
     weights = np.array([[1.0], [0.0], [1.0], [1.0]])
 
     def f(params):
-        return pointer_bce_mean(params[0], labels, weights)
+        return pointer_bce(params[0], labels, weights, 9.0)
 
     assert grad_check(f, [raw], eps=1e-6) <= 1e-6
 
@@ -581,3 +598,10 @@ def test_extract_triples_handles_overlong_text():
     params = init_model_params(cfg, len(schema), Rng(14))
     long_text = corpus[0].text * 10
     assert extract_triples(long_text, params, cfg, vocab, schema) == []
+    # untrained scores sit near 0.25, so a 0.2 threshold decodes spans across
+    # the whole window: content tokens 1..6, before the [SEP] at position 7
+    triples = extract_triples(long_text, params, cfg, vocab, schema, threshold=0.2)
+    ends = {t.object_span.end for t in triples} | {t.subject_span.end for t in triples}
+    assert max(ends) == cfg.max_seq_len - 2
+    for t in triples:
+        assert t.object == long_text[t.object_span.start - 1 : t.object_span.end]

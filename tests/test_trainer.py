@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from coex.trainer import (
     TrainConfig,
     adagrad_step,
     config_from_dict,
-    config_to_dict,
     load_checkpoint,
     save_checkpoint,
     save_metrics,
@@ -58,7 +58,7 @@ def tuple_predicates(corpus):
 
 def test_config_dict_round_trip():
     cfg = small_config(lr=0.05, epochs=7)
-    again = config_from_dict(config_to_dict(cfg))
+    again = config_from_dict(asdict(cfg))
     assert again == cfg
     assert isinstance(again.encoder, EncoderConfig)
 
@@ -157,6 +157,29 @@ def test_train_tracks_best_f1_snapshot():
     assert result.best_params is not result.params
     for m in result.metrics:
         assert m.f1 is not None and 0.0 <= m.f1 <= 1.0
+
+
+def test_best_snapshot_equals_live_params_and_survives_further_training():
+    corpus = tiny_corpus(n=24)
+    schema = RelationSchema(tuple_predicates(corpus))
+    # a 0.999 threshold decodes nothing this early, so every epoch scores F1 0
+    # and epoch 1 stays best while two more epochs update the live parameters
+    cfg = small_config(epochs=3, threshold=0.999)
+    result = train(cfg, corpus, schema, eval_corpus=corpus[:6])
+    assert result.best_epoch == 1
+    # evaluation draws no randomness, so a 1-epoch run reproduces the live
+    # parameters as they stood when the snapshot was taken
+    at_best = train(small_config(epochs=1, threshold=0.999), corpus, schema)
+    snap = result.best_params.named_tensors()
+    assert [n for n, _ in snap] == [n for n, _ in at_best.params.named_tensors()]
+    for (name, t), (_, live) in zip(snap, at_best.params.named_tensors()):
+        assert t.data.dtype == live.data.dtype
+        assert np.array_equal(t.data, live.data), name
+    moved = sum(
+        not np.array_equal(t.data, final.data)
+        for (_, t), (_, final) in zip(snap, result.params.named_tensors())
+    )
+    assert moved > 0
 
 
 def test_save_metrics_jsonl(tmp_path):
