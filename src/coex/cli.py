@@ -50,7 +50,12 @@ _CONFIG_FIELDS = {
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file of training settings")
     p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--weight-decay", type=float, help="coupled L2 decay")
+    p.add_argument(
+        "--weight-decay",
+        type=float,
+        help="coupled L2 decay; the optimizer flushes weights it drives below "
+        "float32's smallest normal value to zero",
+    )
     p.add_argument("--batch", type=int, help="batch size")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--negatives", type=int, help="negative spans per example")

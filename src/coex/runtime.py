@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -25,7 +26,9 @@ from .trainer import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     TrainConfig,
+    _header_dict,
     _params_from_tensors,
+    flush_subnormals,
     read_checkpoint,
     save_checkpoint,
 )
@@ -80,7 +83,16 @@ def inference_model(
 def export_model(
     params: ModelParams, config: TrainConfig, vocab: Vocab, schema: RelationSchema, path
 ):
-    """Write one artifact holding weights, config, vocab, and schema."""
+    """Write one artifact holding weights, config, vocab, and schema.
+
+    The written weights are float32 copies with subnormals flushed to zero, so
+    a model trained without the optimizer's flush still serves at full speed;
+    `params` is left as it was.
+    """
+    flushed = {
+        name: flush_subnormals(t.data.astype(np.float32)) for name, t in params.named_tensors()
+    }
+    params = _params_from_tensors(_header_dict(params, config), flushed)[0]
     extra = {
         "vocab": list(vocab.tokens[len(RESERVED) :]),
         "schema": list(schema.predicates),
@@ -193,7 +205,15 @@ def _make_handler(model: InferenceModel, quiet: bool = True):
             except ValueError:
                 length = 0
             raw = self.rfile.read(max(length, 0))
-            status, body = _extract_response(model, raw)
+            try:
+                status, body = _extract_response(model, raw)
+            except Exception:
+                # answer and keep the connection; the traceback goes to stderr
+                # even when quiet
+                BaseHTTPRequestHandler.log_message(
+                    self, "internal error on %s:\n%s", self.path, traceback.format_exc()
+                )
+                status, body = 500, json.dumps({"error": "internal error"}).encode("utf-8")
             self._send(status, body)
 
     return Handler

@@ -205,6 +205,29 @@ def relation_object_scores(
     return RelationObjectScores(start=s.data[:, :r], end=s.data[:, r:], scores=s, logits=z)
 
 
+def _pair_pointers(
+    start: np.ndarray, end: np.ndarray, mask: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(column, start, end) index arrays for [n, C] pointer scores, in one pass.
+
+    Each above-threshold start pairs with the nearest above-threshold end at or
+    after it in the same column; unpaired starts are dropped. Masked positions
+    can neither start nor end a span. Pairs come ordered by column, then start.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    n = start.shape[0]
+    unmasked = (np.asarray(mask) == 1)[:, None]
+    ends = (end >= threshold) & unmasked
+    # nearest end at or after each position, n where there is none
+    nearest = np.where(ends, np.arange(n)[:, None], n)
+    nearest = np.minimum.accumulate(nearest[::-1], axis=0)[::-1]
+    cols, starts = np.nonzero(((start >= threshold) & unmasked).T)
+    stops = nearest[starts, cols]
+    paired = stops < n
+    return cols[paired], starts[paired], stops[paired]
+
+
 def decode_spans(
     start: np.ndarray, end: np.ndarray, mask: np.ndarray, threshold: float = 0.5
 ) -> list[Span]:
@@ -213,17 +236,8 @@ def decode_spans(
     Unpaired starts are dropped. Masked positions can neither start nor end a
     span. Nested and overlapping spans are allowed.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    mask = np.asarray(mask)
-    starts = np.where((start >= threshold) & (mask == 1))[0]
-    ends = np.where((end >= threshold) & (mask == 1))[0]
-    spans = []
-    for s in starts:
-        after = ends[ends >= s]
-        if after.size:
-            spans.append(Span(int(s), int(after[0])))
-    return spans
+    _, starts, stops = _pair_pointers(start[:, None], end[:, None], mask, threshold)
+    return [Span(int(s), int(e)) for s, e in zip(starts, stops)]
 
 
 def decode_subject_spans(
@@ -235,12 +249,10 @@ def decode_subject_spans(
 def decode_objects(
     scores: RelationObjectScores, mask: np.ndarray, threshold: float = 0.5
 ) -> list[tuple[int, Span]]:
-    """All (relation index, object span) pairs, ordered by relation then start."""
-    out = []
-    for r in range(scores.start.shape[1]):
-        for span in decode_spans(scores.start[:, r], scores.end[:, r], mask, threshold):
-            out.append((r, span))
-    return out
+    """All (relation index, object span) pairs, ordered by relation then start;
+    each relation column decodes as decode_spans does, all in one pass."""
+    rels, starts, stops = _pair_pointers(scores.start, scores.end, mask, threshold)
+    return [(int(r), Span(int(s), int(e))) for r, s, e in zip(rels, starts, stops)]
 
 
 def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:

@@ -95,11 +95,22 @@ class OptimizerState:
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Set every element with |a| below the dtype's smallest normal to zero, in place.
+
+    x86 computes with subnormal floats many times slower than with normal ones,
+    and coupled decay drives weights that get little gradient through that range.
+    """
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
+    return a
+
+
 def adagrad_step(
     named_params, state: OptimizerState, lr: float, weight_decay: float, eps: float = 1e-10
 ):
     """Accumulate squared gradients and update; weight decay couples into the
-    gradient before accumulation (g' = g + wd * w)."""
+    gradient before accumulation (g' = g + wd * w). Updated weights are
+    flushed: none is left subnormal."""
     for name, p in named_params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if weight_decay:
@@ -110,6 +121,7 @@ def adagrad_step(
             state.accumulators[name] = acc
         acc += g * g
         p.data -= (lr * g / (np.sqrt(acc) + eps)).astype(p.data.dtype, copy=False)
+        flush_subnormals(p.data)
 
 
 @dataclass
@@ -119,9 +131,21 @@ class EpochMetrics:
     mean_subject_loss: float
     mean_relation_loss: float
     wall_time_s: float
+    subnormal_weights: int
+    max_abs_weight: float
     precision: float | None = None
     recall: float | None = None
     f1: float | None = None
+
+
+def weight_health(named_tensors) -> tuple[int, float]:
+    """(count of subnormal elements, largest |w|) over the given tensors."""
+    subnormal, max_abs = 0, 0.0
+    for _, t in named_tensors:
+        a = np.abs(t.data)
+        subnormal += int(np.count_nonzero((a > 0) & (a < np.finfo(a.dtype).tiny)))
+        max_abs = max(max_abs, float(a.max(initial=0.0)))
+    return subnormal, max_abs
 
 
 def save_metrics(metrics: list[EpochMetrics], path):
@@ -196,12 +220,16 @@ def train(
             adagrad_step(named, state, config.lr, config.weight_decay, config.adagrad_eps)
             totals += (parts.total.item(), parts.subject, parts.relation)
             batches += 1
+        wall_time_s = time.monotonic() - t0
+        subnormal, max_abs = weight_health(named)
         m = EpochMetrics(
             epoch=epoch,
             mean_loss=totals[0] / batches,
             mean_subject_loss=totals[1] / batches,
             mean_relation_loss=totals[2] / batches,
-            wall_time_s=time.monotonic() - t0,
+            wall_time_s=wall_time_s,
+            subnormal_weights=subnormal,
+            max_abs_weight=max_abs,
         )
         if eval_corpus is not None:
             report = _evaluate(params, config, vocab, schema, eval_corpus)
@@ -216,6 +244,7 @@ def train(
                 f"epoch {m.epoch:3d}  loss {m.mean_loss:.4f}"
                 f"  subject {m.mean_subject_loss:.4f}  relation {m.mean_relation_loss:.4f}"
                 f"  {m.wall_time_s:.1f}s"
+                f"  subnormal {m.subnormal_weights}  max|w| {m.max_abs_weight:.3g}"
             )
             if m.f1 is not None:
                 line += f"  P {m.precision:.3f} R {m.recall:.3f} F1 {m.f1:.3f}"

@@ -1,7 +1,10 @@
 """Reference implementations that only the tests use.
 
 bce_mean is the unfused weighted-mean BCE that pointer_bce is checked
-against; triples_from_labels decodes gold pointer labels back into triples.
+against; triples_from_labels decodes gold pointer labels back into triples;
+spans_loop and objects_by_column are the per-start, per-relation decode that
+the one-pass decode_spans and decode_objects are checked against;
+subnormal_count counts float32 subnormals independently of the trainer.
 """
 
 from __future__ import annotations
@@ -33,6 +36,34 @@ def bce_mean(scores: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
         return (g * ds * inside,)
 
     return _make(out, (scores,), back)
+
+
+def spans_loop(start, end, mask, threshold: float = 0.5) -> list[Span]:
+    """Pair each above-threshold unmasked start with the nearest such end at or after it."""
+    mask = np.asarray(mask)
+    starts = np.where((start >= threshold) & (mask == 1))[0]
+    ends = np.where((end >= threshold) & (mask == 1))[0]
+    spans = []
+    for s in starts:
+        after = ends[ends >= s]
+        if after.size:
+            spans.append(Span(int(s), int(after[0])))
+    return spans
+
+
+def objects_by_column(start, end, mask, threshold: float = 0.5) -> list[tuple[int, Span]]:
+    """decode_objects over [n, R] scores, one relation column at a time."""
+    return [
+        (r, span)
+        for r in range(start.shape[1])
+        for span in spans_loop(start[:, r], end[:, r], mask, threshold)
+    ]
+
+
+def subnormal_count(arrays) -> int:
+    """Elements with 0 < |x| < the smallest normal float32, over all arrays."""
+    tiny = np.finfo(np.float32).tiny
+    return sum(int(np.count_nonzero((np.abs(a) > 0) & (np.abs(a) < tiny))) for a in arrays)
 
 
 def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:

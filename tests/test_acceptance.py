@@ -44,8 +44,8 @@ from coex.tagger import (
     relation_object_scores,
     subject_scores,
 )
-from coex.trainer import TrainConfig, save_checkpoint, train
-from oracles import triples_from_labels
+from coex.trainer import TrainConfig, read_checkpoint, save_checkpoint, train
+from oracles import subnormal_count, triples_from_labels
 
 
 def _line(num: int, ok: bool, detail: str):
@@ -123,6 +123,14 @@ def test_criterion_03_synthetic_headline_f1(big_run):
     ok = report.f1 >= 0.95 and big_run.minutes <= 15.0
     _line(3, ok, f"held-out F1={report.f1:.4f} (>=0.95, P={report.precision:.4f} "
                  f"R={report.recall:.4f}), synth+train wall time {big_run.minutes:.1f} min (<=15)")
+
+
+def test_trained_artifact_has_no_subnormal_weights(big_run):
+    _, exported = read_checkpoint(big_run.artifact)
+    arrays = {f"artifact {name}": a for name, a in exported.items()}
+    arrays.update({f"final {name}": t.data for name, t in big_run.result.params.named_tensors()})
+    subnormal = {name: subnormal_count([a]) for name, a in arrays.items()}
+    assert sum(subnormal.values()) == 0, {k: v for k, v in subnormal.items() if v}
 
 
 def test_criterion_04_joint_gradient_check():

@@ -100,6 +100,7 @@ def test_train_outputs(trained, capsys):
     rows = [json.loads(line) for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
     assert [r["epoch"] for r in rows] == [1, 2]
     assert all(r["f1"] is not None for r in rows)
+    assert all(r["subnormal_weights"] == 0 and r["max_abs_weight"] > 0 for r in rows)
 
 
 def test_eval_reports_scores(trained, capsys):

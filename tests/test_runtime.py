@@ -1,7 +1,10 @@
+import contextlib
 import http.client
 import json
 import socket
 import threading
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +19,12 @@ from coex.data import (
 )
 from coex.encoder import EncoderConfig
 from coex.tagger import extract_triples, init_model_params, joint_loss
-from coex.trainer import CheckpointFormatError, CheckpointIntegrityError, TrainConfig
+from coex.trainer import (
+    CheckpointFormatError,
+    CheckpointIntegrityError,
+    TrainConfig,
+    read_checkpoint,
+)
 from coex.runtime import (
     InferenceModel,
     _encode_with_self_byte_count,
@@ -27,6 +35,7 @@ from coex.runtime import (
     load_inference_model,
     model_fingerprint,
 )
+from oracles import subnormal_count
 
 SMALL_ENCODER = dict(
     model_dim=16, num_heads=2, ffn_dim=24, num_layers=1, max_seq_len=32, dropout_p=0.1
@@ -103,6 +112,33 @@ def test_export_load_round_trip(tmp_path):
         )
 
 
+def test_export_flushes_subnormal_weights(tmp_path):
+    corpus, vocab, schema, cfg, params = small_setup(seed=4)
+    # a threshold just under the untrained squared-sigmoid score of 0.25 makes
+    # the random model emit triples, so the comparison below has content
+    cfg = replace(cfg, threshold=0.24)
+    rng = np.random.default_rng(4)
+    for _, t in params.named_tensors():
+        planted = rng.uniform(size=t.data.shape) < 0.3
+        t.data[planted] = (rng.uniform(-1e-39, 1e-39, t.data.shape)[planted]).astype(np.float32)
+    before = subnormal_count(t.data for _, t in params.named_tensors())
+    assert before > 1000
+
+    path = tmp_path / "model.bin"
+    export_model(params, cfg, vocab, schema, path)
+    header, tensors = read_checkpoint(path)
+    assert subnormal_count(tensors.values()) == 0
+    assert subnormal_count(t.data for _, t in params.named_tensors()) == before
+    model = load_inference_model(path)
+    assert model.model_version == header["model_version"]
+    texts = [ex.text for ex in corpus[:20]]
+    served = [infer(model, text) for text in texts]
+    assert any(served)
+    assert served == [
+        extract_triples(text, params, cfg.encoder, vocab, schema, cfg.threshold) for text in texts
+    ]
+
+
 def test_load_requires_vocab_and_schema_sections(tmp_path):
     from coex.trainer import save_checkpoint
 
@@ -140,19 +176,24 @@ def test_response_byte_count_fixed_point():
 # service
 
 
-@pytest.fixture()
-def served():
-    corpus, vocab, schema, cfg, params = small_setup(seed=13)
-    model = inference_model(params, cfg, vocab, schema)
-    server = create_server(model, ("127.0.0.1", 0))
+@contextlib.contextmanager
+def running(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield model, server.server_address, corpus
+        yield server.server_address
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture()
+def served():
+    corpus, vocab, schema, cfg, params = small_setup(seed=13)
+    model = inference_model(params, cfg, vocab, schema)
+    with running(create_server(model, ("127.0.0.1", 0))) as address:
+        yield model, address, corpus
 
 
 def _post(address, path, body: bytes):
@@ -181,6 +222,26 @@ def test_healthz(served):
     assert status == 200
     obj = json.loads(body)
     assert obj == {"status": "ok", "model_version": model.model_version}
+
+
+def test_internal_error_answers_500_and_keeps_connection():
+    def broken(text):
+        raise RuntimeError("extract failed")
+
+    stub = SimpleNamespace(model_version="stub", extract=broken)
+    with running(create_server(stub, ("127.0.0.1", 0))) as address:
+        conn = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            conn.request("POST", "/extract", body=b'{"text": "x"}')
+            resp = conn.getresponse()
+            assert resp.status == 500
+            assert json.loads(resp.read()) == {"error": "internal error"}
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read()) == {"status": "ok", "model_version": "stub"}
+        finally:
+            conn.close()
 
 
 def test_unknown_paths(served):

@@ -19,6 +19,7 @@ from coex.encoder import EncoderConfig
 from coex.tagger import (
     LossWeighting,
     ModelParams,
+    RelationObjectScores,
     RelationSchema,
     SchemaError,
     Span,
@@ -35,7 +36,7 @@ from coex.tagger import (
     relation_object_scores,
     subject_scores,
 )
-from oracles import bce_mean
+from oracles import bce_mean, objects_by_column, spans_loop
 
 LN075 = -math.log(0.75)  # BCE of a 0.25 score against a zero label
 
@@ -131,6 +132,30 @@ def test_decode_spans_threshold_bounds():
         decode_spans(z, z, np.ones(3), threshold=0.0)
     with pytest.raises(ValueError):
         decode_spans(z, z, np.ones(3), threshold=1.0)
+
+
+def test_one_pass_decode_matches_per_column_loop():
+    rng = np.random.default_rng(7)
+    seen = {"masked": 0, "nested": 0, "unpaired": 0}
+    for _ in range(2000):
+        n, r = int(rng.integers(0, 14)), int(rng.integers(1, 6))
+        thr = float(rng.choice([0.2, 0.5, 0.8]))
+        start = rng.uniform(0.0, 1.0, (n, r)).astype(np.float32)
+        end = rng.uniform(0.0, 1.0, (n, r)).astype(np.float32)
+        mask = (rng.uniform(size=n) < 0.8).astype(np.int64)
+        scores = RelationObjectScores(start=start, end=end, scores=None, logits=None)
+        want = objects_by_column(start, end, mask, thr)
+        assert decode_objects(scores, mask, thr) == want
+        for c in range(r):
+            assert decode_spans(start[:, c], end[:, c], mask, thr) == spans_loop(
+                start[:, c], end[:, c], mask, thr
+            )
+        hits = (start >= thr) & (mask == 1)[:, None]
+        seen["masked"] += int(((start >= thr) & (mask == 0)[:, None]).any())
+        # two starts of one column sharing their end: nested or overlapping spans
+        seen["nested"] += len({(c, sp.end) for c, sp in want}) < len(want)
+        seen["unpaired"] += len(want) < int(hits.sum())
+    assert min(seen.values()) > 100, seen
 
 
 def test_threshold_on_squared_score_matches_logit_rule():

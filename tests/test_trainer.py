@@ -23,6 +23,7 @@ from coex.trainer import (
     save_metrics,
     train,
 )
+from oracles import subnormal_count
 
 SMALL_ENCODER = dict(
     model_dim=32, num_heads=2, ffn_dim=64, num_layers=1, max_seq_len=64, dropout_p=0.1
@@ -107,6 +108,19 @@ def test_adagrad_no_decay_no_grad_is_noop():
     assert np.array_equal(p.data, np.full((3,), 2.0, dtype=np.float32))
 
 
+def test_adagrad_decay_alone_never_leaves_subnormal_weights():
+    # with zero gradients, coupled decay shrinks each weight by a near-constant
+    # factor per step, through the whole float32 normal range and past it
+    w0 = np.array([0.5, -0.25, 3e-3, -2e-7, 1e-20], dtype=np.float32)
+    p = Tensor(w0.copy(), requires_grad=True)
+    state = OptimizerState()
+    for step in range(2000):
+        p.grad = np.zeros_like(p.data)
+        adagrad_step([("w", p)], state, lr=0.08, weight_decay=0.01)
+        assert subnormal_count([p.data]) == 0, f"subnormal weight after step {step + 1}"
+    assert np.all(p.data == 0)
+
+
 def test_train_loss_decreases():
     corpus = tiny_corpus(n=32)
     result = train(small_config(epochs=4), corpus, RelationSchema(tuple_predicates(corpus)))
@@ -125,6 +139,9 @@ def test_train_metrics_shape():
         assert m.wall_time_s > 0
         assert abs(m.mean_loss - (m.mean_subject_loss + m.mean_relation_loss)) < 1e-5
         assert m.f1 is None
+        assert m.subnormal_weights == 0 and m.max_abs_weight > 0
+    largest = max(float(np.abs(t.data).max()) for _, t in result.params.named_tensors())
+    assert result.metrics[-1].max_abs_weight == largest
     assert result.config.encoder.vocab_size == len(result.vocab)
 
 
@@ -184,8 +201,8 @@ def test_best_snapshot_equals_live_params_and_survives_further_training():
 
 def test_save_metrics_jsonl(tmp_path):
     rows = [
-        EpochMetrics(1, 1.5, 1.0, 0.5, 2.0),
-        EpochMetrics(2, 1.2, 0.8, 0.4, 2.1, precision=0.5, recall=0.25, f1=1 / 3),
+        EpochMetrics(1, 1.5, 1.0, 0.5, 2.0, 7, 0.75),
+        EpochMetrics(2, 1.2, 0.8, 0.4, 2.1, 0, 0.5, precision=0.5, recall=0.25, f1=1 / 3),
     ]
     path = tmp_path / "metrics.jsonl"
     save_metrics(rows, path)
@@ -194,7 +211,10 @@ def test_save_metrics_jsonl(tmp_path):
     parsed = json.loads(lines[1])
     assert parsed["epoch"] == 2
     assert parsed["f1"] == pytest.approx(1 / 3)
-    assert json.loads(lines[0])["f1"] is None
+    first = json.loads(lines[0])
+    assert first["f1"] is None
+    assert (first["subnormal_weights"], first["max_abs_weight"]) == (7, 0.75)
+    assert (parsed["subnormal_weights"], parsed["max_abs_weight"]) == (0, 0.5)
 
 
 def fresh_params(num_relations=4, vocab_size=50, seed=9):
