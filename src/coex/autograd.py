@@ -36,6 +36,29 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+    def keep_mask(self, shape, p: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
+        """Bool dropout mask: True where a uniform draw of `dtype` is >= p."""
+        return self.random(shape, dtype=dtype) >= p
+
+
+class DrawnMasks:
+    """Keep masks drawn ahead of time, handed out in call order.
+
+    Stands in for an Rng wherever dropout takes one, so a batched forward can
+    replay masks that were drawn in some other order (see tagger.joint_loss).
+    """
+
+    def __init__(self, masks):
+        self._masks = list(reversed(masks))
+
+    def keep_mask(self, shape, p: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
+        if not self._masks:
+            raise ValueError(f"DrawnMasks: no mask left for shape {tuple(shape)}")
+        keep = self._masks.pop()
+        if keep.shape != tuple(shape):
+            raise ValueError(f"DrawnMasks: next mask has shape {keep.shape}, dropout wants {tuple(shape)}")
+        return keep
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -134,7 +157,7 @@ def _accumulate(node: Tensor, g: np.ndarray):
 
 
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar. Gradients add into `.grad`."""
+    """Reverse-mode sweep from a scalar. Leaf gradients add into `.grad`."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -154,15 +177,15 @@ def backward(loss: Tensor):
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    # local flows keep a single backward pass self-contained; contributions
-    # are added into .grad at the end so repeated calls accumulate
+    # local flows keep a single backward pass self-contained; a node's flow is
+    # complete when the sweep reaches it, and is dropped once passed on
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        _accumulate(node, g)
         if node._backward is None:
+            _accumulate(node, g)
             continue
         grads = node._backward(g)
         for p, pg in zip(node._parents, grads):
@@ -184,7 +207,10 @@ def add(a: Tensor, b) -> Tensor:
         raise ValueError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast")
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), back)
 
@@ -201,24 +227,25 @@ def mul(a: Tensor, b) -> Tensor:
         raise ValueError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast")
 
     def back(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make(out, (a, b), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D x 2-D, or stacked 3-D x 3-D with equal leading dimension."""
+    """2-D x 2-D, or stacks of matrices with equal leading dimensions."""
     sa, sb = a.data.shape, b.data.shape
-    ok = (len(sa) == 2 and len(sb) == 2 and sa[1] == sb[0]) or (
-        len(sa) == 3 and len(sb) == 3 and sa[0] == sb[0] and sa[2] == sb[1]
-    )
+    ok = len(sa) == len(sb) >= 2 and sa[:-2] == sb[:-2] and sa[-1] == sb[-2]
     if not ok:
         raise ValueError(f"matmul: incompatible shapes {sa} @ {sb}")
     out = a.data @ b.data
 
     def back(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
+        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), back)
@@ -305,15 +332,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p). Identity when not training."""
+def dropout(x: Tensor, p: float, training: bool, rng: Rng | DrawnMasks | None = None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-p). Identity when not training.
+
+    The backward closure keeps the bool keep mask, a quarter of a float32 one.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout: rng required in training mode")
-    keep = (rng.random(x.data.shape, dtype=x.dtype) >= p).astype(x.dtype)
+    keep = rng.keep_mask(x.data.shape, p, x.dtype)
     scale = 1.0 / (1.0 - p)
     out = x.data * keep * scale
 

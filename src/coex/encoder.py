@@ -3,6 +3,11 @@
 Post-norm layers: x -> LN(x + dropout(MHA(x))) -> LN(u + dropout(FFN(u))).
 Attention masking is additive (-1e9 on masked keys), which drives masked
 attention weights to exactly zero after the max-subtracted softmax.
+
+Every function takes a padded batch: input arrays of shape [B, L], hidden
+states as B·L rows of [B·L, d], example b on rows b·L .. b·L + L - 1. A single
+sentence is the batch B = 1, given as 1-D arrays of length n, and its hidden
+states are [n, d].
 """
 
 from __future__ import annotations
@@ -134,6 +139,8 @@ def init_encoder_params(config: EncoderConfig, rng: Rng, dtype=DEFAULT_DTYPE) ->
 
 @dataclass
 class EncodedInput:
+    """One sentence ([n] arrays) or a padded batch ([B, L] arrays)."""
+
     input_ids: np.ndarray
     input_mask: np.ndarray
     segment_ids: np.ndarray
@@ -142,14 +149,25 @@ class EncodedInput:
         self.input_ids = np.asarray(self.input_ids, dtype=np.int64)
         self.input_mask = np.asarray(self.input_mask, dtype=np.int64)
         self.segment_ids = np.asarray(self.segment_ids, dtype=np.int64)
-        if not (len(self.input_ids) == len(self.input_mask) == len(self.segment_ids)):
+        if not (self.input_ids.shape == self.input_mask.shape == self.segment_ids.shape):
             raise ValueError(
-                f"input arrays disagree on length: ids {len(self.input_ids)}, "
-                f"mask {len(self.input_mask)}, segments {len(self.segment_ids)}"
+                f"input arrays disagree on shape: ids {self.input_ids.shape}, "
+                f"mask {self.input_mask.shape}, segments {self.segment_ids.shape}"
             )
 
     def __len__(self) -> int:
         return len(self.input_ids)
+
+
+def pad_batch(inputs: list[EncodedInput]) -> EncodedInput:
+    """Stack sentences into [B, L] arrays, L the longest; padding has id 0
+    ([PAD]), segment 0 and mask 0."""
+    length = max(len(x) for x in inputs)
+    out = [np.zeros((len(inputs), length), dtype=np.int64) for _ in range(3)]
+    for b, x in enumerate(inputs):
+        for dst, src in zip(out, (x.input_ids, x.input_mask, x.segment_ids)):
+            dst[b, : len(src)] = src
+    return EncodedInput(*out)
 
 
 def embed_inputs(
@@ -160,12 +178,12 @@ def embed_inputs(
     rng: Rng | None = None,
 ) -> Tensor:
     """Sum of token, segment and learned position embeddings, then dropout."""
-    n = len(x)
+    n = x.input_ids.shape[-1]
     if n > config.max_seq_len:
         raise ValueError(f"sequence length {n} exceeds max_seq_len {config.max_seq_len}")
-    h = embedding_lookup(params.token_emb, x.input_ids)
-    h = add(h, embedding_lookup(params.segment_emb, x.segment_ids))
-    h = add(h, embedding_lookup(params.position_emb, np.arange(n)))
+    h = embedding_lookup(params.token_emb, x.input_ids.reshape(-1))
+    h = add(h, embedding_lookup(params.segment_emb, x.segment_ids.reshape(-1)))
+    h = add(h, embedding_lookup(params.position_emb, np.arange(x.input_ids.size) % n))
     return dropout(h, config.dropout_p, training, rng)
 
 
@@ -176,21 +194,29 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def multi_head_attention(
     x: Tensor, mask: np.ndarray, layer: LayerParams, config: EncoderConfig
 ) -> Tensor:
-    """Scaled dot-product attention per head; masked keys get weight exactly 0."""
-    n, d = x.shape
+    """Scaled dot-product attention per head; masked keys get weight exactly 0.
+
+    x is [B·L, d] and mask [B, L] (or [n] for one sentence); each example
+    attends only within its own L rows.
+    """
+    mask = np.atleast_2d(mask)
+    b, n = mask.shape
+    d = x.shape[1]
     nh, hd = config.num_heads, config.head_dim
     q = _linear(x, layer.w_q, layer.b_q)
     k = _linear(x, layer.w_k, layer.b_k)
     v = _linear(x, layer.w_v, layer.b_v)
-    # [n, d] -> [heads, n, head_dim]
-    q = transpose(reshape(q, (n, nh, hd)), (1, 0, 2))
-    k = transpose(reshape(k, (n, nh, hd)), (1, 2, 0))
-    v = transpose(reshape(v, (n, nh, hd)), (1, 0, 2))
+    # [B·L, d] -> [B, heads, L, head_dim]
+    q = transpose(reshape(q, (b, n, nh, hd)), (0, 2, 1, 3))
+    k = transpose(reshape(k, (b, n, nh, hd)), (0, 2, 3, 1))
+    v = transpose(reshape(v, (b, n, nh, hd)), (0, 2, 1, 3))
     logits = mul(matmul(q, k), 1.0 / math.sqrt(hd))
-    bias = ((1 - np.asarray(mask)) * MASK_BIAS).astype(x.dtype)
-    att = softmax(add(logits, Tensor(bias)), axis=-1)
+    if not mask.all():  # adding an all-zero bias would change nothing
+        bias = ((1 - mask) * MASK_BIAS).astype(x.dtype)[:, None, None, :]
+        logits = add(logits, Tensor(bias))
+    att = softmax(logits, axis=-1)
     ctx = matmul(att, v)
-    ctx = reshape(transpose(ctx, (1, 0, 2)), (n, d))
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * n, d))
     return _linear(ctx, layer.w_o, layer.b_o)
 
 
@@ -219,7 +245,8 @@ def encode(
     training: bool = False,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Full stack: embeddings plus num_layers encoder layers. Returns [n, model_dim]."""
+    """Full stack: embeddings plus num_layers encoder layers. Returns
+    [B·L, model_dim], or [n, model_dim] for one sentence."""
     h = embed_inputs(x, params, config, training, rng)
     for layer in params.layers:
         h = encoder_layer(h, x.input_mask, layer, config, training, rng)

@@ -19,12 +19,12 @@ import numpy as np
 
 from .autograd import (
     DEFAULT_DTYPE,
+    DrawnMasks,
     Rng,
     Tensor,
     add,
     dropout,
     matmul,
-    mul,
     sigmoid,
     square,
     _make,
@@ -36,6 +36,7 @@ from .encoder import (
     LayerParams,
     encode,
     init_encoder_params,
+    pad_batch,
 )
 
 
@@ -265,27 +266,49 @@ def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
     return add(hidden, matmul(Tensor(m), hidden))
 
 
-def condition_on_spans(hidden: Tensor, spans: list[Span]) -> Tensor:
-    """Batched conditioning: returns [len(spans) * n, d], one block per span."""
-    n, d = hidden.shape
-    s = len(spans)
-    m = np.zeros((s, n), dtype=hidden.dtype)
-    for i, span in enumerate(spans):
-        if span.end >= n:
-            raise ValueError(f"span ({span.start}, {span.end}) exceeds sequence length {n}")
-        m[i, span.start : span.end + 1] = 1.0 / len(span)
-    means = m @ hidden.data
-    out = (hidden.data[None, :, :] + means[:, None, :]).reshape(s * n, d)
+def condition_on_spans(
+    hidden: Tensor, spans: list[list[Span]], lengths: list[int]
+) -> Tensor:
+    """Conditioning packed over a padded batch, one block per span, ragged.
+
+    hidden is [B·L, d]; example b has spans[b] and its first lengths[b] rows.
+    For each example in turn and each of its spans, the block is the
+    example's rows plus the span's mean row: [sum of len(spans[b]) * lengths[b], d].
+    """
+    rows, d = hidden.shape
+    if not lengths or len(spans) != len(lengths) or rows % len(lengths):
+        raise ValueError(f"{len(spans)} span lists and {len(lengths)} lengths for {rows} rows")
+    width = rows // len(lengths)
+    h = hidden.data
+    blocks = []  # (first hidden row, length, mean matrix [s, n])
+    for b, (ss, n) in enumerate(zip(spans, lengths)):
+        if not ss:
+            continue
+        lo = np.array([sp.start for sp in ss])
+        hi = np.array([sp.end for sp in ss])
+        if hi.max() >= n or n > width:
+            raise ValueError(f"a span of example {b} exceeds its sequence length {n}")
+        cols = np.arange(n)
+        m = ((cols >= lo[:, None]) & (cols <= hi[:, None])) * (1.0 / (hi - lo + 1))[:, None]
+        blocks.append((b * width, n, m.astype(h.dtype)))
+    out = np.empty((sum(len(m) * n for _, n, m in blocks), d), dtype=h.dtype)
+    pos = 0
+    for first, n, m in blocks:
+        hb = h[first : first + n]
+        block = out[pos : pos + len(m) * n].reshape(len(m), n, d)
+        np.add(hb[None, :, :], (m @ hb)[:, None, :], out=block)
+        pos += len(m) * n
 
     def back(g):
-        g3 = g.reshape(s, n, d)
-        return (g3.sum(axis=0) + m.T @ g3.sum(axis=1),)
+        gh = np.zeros_like(h)
+        pos = 0
+        for first, n, m in blocks:
+            g3 = g[pos : pos + len(m) * n].reshape(len(m), n, d)
+            gh[first : first + n] = g3.sum(axis=0) + m.T @ g3.sum(axis=1)
+            pos += len(m) * n
+        return (gh,)
 
     return _make(out, (hidden,), back)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
 def pointer_bce(
@@ -306,8 +329,12 @@ def pointer_bce(
     weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), z.shape)
     e = np.exp(-np.abs(z))
     sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(z.dtype, copy=False)
+    # softplus(x) = log1p(exp(-|x|)) + max(x, 0), and |-z| = |z|:
     # -log(s^2) = 2*softplus(-z); -log(1-s^2) = softplus(z) - log1p(s)
-    per = labels * 2.0 * _softplus(-z) + (1.0 - labels) * (_softplus(z) - np.log1p(sig))
+    soft = np.log1p(e)
+    per = labels * 2.0 * (soft + np.maximum(-z, 0.0)) + (1.0 - labels) * (
+        soft + np.maximum(z, 0.0) - np.log1p(sig)
+    )
     out = np.asarray((per * weights).sum() / divisor, dtype=z.dtype)
 
     def back(g):
@@ -372,13 +399,30 @@ def relation_cell_weights(
         near[:, :-shift] |= pos[:, shift:]
         near[:, shift:] |= pos[:, :-shift]
     cross = pos.any(axis=2, keepdims=True) & ~pos
-    near &= ~pos & ~cross
-    return out * (
-        1.0
-        + (weighting.positive - 1.0) * pos
-        + (weighting.adjacent - 1.0) * near
-        + (weighting.column - 1.0) * cross
-    )
+    # index bits: adjacent 1, column 2, gold 4; gold wins, then column
+    rule = near.view(np.uint8) | (cross.view(np.uint8) << 1) | (pos.view(np.uint8) << 2)
+    adj, col, gold = weighting.adjacent, weighting.column, weighting.positive
+    boost = np.array([1.0, adj, col, col, gold, gold, gold, gold], dtype=out.dtype)
+    return out * np.take(boost, rule)
+
+
+def _batch_dropout_masks(rng: Rng, lengths, span_counts, sites: int, width: int, d: int, p, dtype):
+    """Keep masks for one batch, drawn per example in the order a per-example
+    forward draws them: each of the `sites` token-level sites on [n, d], then
+    the relation rows on [s·n, d]. Token masks are scattered into the padded
+    [B·width, d] layout, relation masks packed as condition_on_spans packs
+    rows. The result replays them in forward order."""
+    token = np.zeros((sites, len(lengths), width, d), dtype=bool)
+    relation = []
+    for b, (n, s) in enumerate(zip(lengths, span_counts)):
+        for k in range(sites):
+            token[k, b, :n] = rng.keep_mask((n, d), p, dtype)
+        if s:
+            relation.append(rng.keep_mask((s * n, d), p, dtype))
+    masks = list(token.reshape(sites, -1, d))
+    if relation:
+        masks.append(np.concatenate(relation))
+    return DrawnMasks(masks)
 
 
 def joint_loss(
@@ -401,63 +445,77 @@ def joint_loss(
     positive cells of sparse pointer rows otherwise contribute too little
     gradient against the mass of zero cells for the head to pull them over
     the decision threshold.
+
+    The whole batch runs as one padded forward: one encoder pass, one subject
+    head, every conditioning span packed into one relation-head call, and one
+    pointer_bce per head. Dropout masks are drawn per example in the order a
+    per-example forward draws them, so a seed gives the same loss either way.
     """
     if not batch:
         raise ValueError("joint_loss: empty batch")
     r = params.num_relations
-    subject_terms = []
-    relation_terms = []
-    for ex in batch:
-        n = len(ex.input.input_ids)
+    dtype = params.encoder.token_emb.dtype
+    lengths = [len(ex.input.input_ids) for ex in batch]
+    spans = [[sub.span for sub in ex.subjects] + list(ex.negative_spans) for ex in batch]
+    for ex, n in zip(batch, lengths):
         if len(ex.subject_start) != n or len(ex.subject_end) != n:
             raise ValueError(f"subject labels length {len(ex.subject_start)} != tokens {n}")
-        hidden = encode(ex.input, params.encoder, config, training, rng)
-        dtype = hidden.dtype
-        w = ex.input.input_mask.astype(dtype)[:, None]
-        n_unmasked = float(w.sum())
-
-        sc = subject_scores(hidden, params, config.dropout_p, training, rng)
-        s_labels = np.stack([ex.subject_start, ex.subject_end], axis=1).astype(dtype)
-        subject_terms.append(pointer_bce(sc.logits, s_labels, w, 2 * n_unmasked))
-
-        spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
-        if not spans:
-            continue
-        labels = np.zeros((len(spans), n, 2 * r), dtype=dtype)
-        for i, sub in enumerate(ex.subjects):
+        for sub in ex.subjects:
             if sub.object_start.shape != (n, r) or sub.object_end.shape != (n, r):
-                raise ValueError(
-                    f"object labels shape {sub.object_start.shape} != ({n}, {r})"
-                )
-            labels[i, :, :r] = sub.object_start
-            labels[i, :, r:] = sub.object_end
-        conditioned = condition_on_spans(hidden, spans)
+                raise ValueError(f"object labels shape {sub.object_start.shape} != ({n}, {r})")
+    x = pad_batch([ex.input for ex in batch])
+    width = x.input_ids.shape[1]
+    if training and config.dropout_p > 0.0:
+        if rng is None:
+            raise ValueError("joint_loss: rng required in training mode")
+        sites = 2 + 2 * len(params.encoder.layers)  # embed, attn and ffn per layer, subject
+        rng = _batch_dropout_masks(
+            rng, lengths, [len(s) for s in spans], sites, width, config.model_dim,
+            config.dropout_p, dtype,
+        )
+
+    hidden = encode(x, params.encoder, config, training, rng)
+    # each example's unmasked positions share its 1/B of the loss
+    w = x.input_mask.astype(dtype)
+    unmasked = w.sum(axis=1, keepdims=True)
+    if not unmasked.all():
+        raise ValueError("joint_loss: an example has no unmasked position")
+    w /= unmasked * len(batch)
+    sc = subject_scores(hidden, params, config.dropout_p, training, rng)
+    s_labels = np.zeros((len(batch), width, 2), dtype=dtype)
+    for b, ex in enumerate(batch):
+        s_labels[b, : lengths[b], 0] = ex.subject_start
+        s_labels[b, : lengths[b], 1] = ex.subject_end
+    l_subject = pointer_bce(
+        sc.logits, s_labels.reshape(-1, 2), (w / 2).reshape(-1, 1), 1.0
+    )
+
+    # relation rows packed as condition_on_spans packs them: per example, one
+    # block of its n rows per span, gold spans first
+    labels = np.zeros((sum(len(ss) * n for ss, n in zip(spans, lengths)), 2 * r), dtype=dtype)
+    weights = np.empty_like(labels)
+    pos = 0
+    for b, ex in enumerate(batch):
+        n, s = lengths[b], len(spans[b])
+        lab = labels[pos : pos + s * n].reshape(s, n, 2 * r)
+        for i, sub in enumerate(ex.subjects):
+            lab[i, :, :r] = sub.object_start
+            lab[i, :, r:] = sub.object_end
+        # each gold span's block weighs as much as the example's subject
+        # term; the negative spans share one such weight
+        per_span = np.full((s, 1, 1), 1.0 / max(len(ex.negative_spans), 1), dtype=dtype)
+        per_span[: len(ex.subjects)] = 1.0
+        base = per_span * (w[b, :n, None] / (2 * r))
+        if weighting is not None:
+            base = relation_cell_weights(lab, base, weighting)
+        weights[pos : pos + s * n].reshape(s, n, 2 * r)[...] = base
+        pos += s * n
+    if len(labels):
+        conditioned = condition_on_spans(hidden, spans, lengths)
         ro = relation_object_scores(conditioned, params, config.dropout_p, training, rng)
-        n_gold = len(ex.subjects)
-        n_neg = len(ex.negative_spans)
-        per_gold = 1.0 / (n_unmasked * 2 * r)
-        per_neg = per_gold / max(n_neg, 1)
-        rw = np.concatenate(
-            [np.tile(w * per_gold, (n_gold, 1)), np.tile(w * per_neg, (n_neg, 1))]
-        )
-        if weighting is not None and not weighting.neutral:
-            rw = relation_cell_weights(
-                labels, rw.reshape(len(spans), n, 1), weighting
-            ).reshape(len(spans) * n, 2 * r)
-        relation_terms.append(
-            pointer_bce(ro.logits, labels.reshape(len(spans) * n, 2 * r), rw, 1.0)
-        )
-
-    def average(terms):
-        if not terms:
-            return Tensor(np.asarray(0.0, dtype=params.subject_w.dtype))
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = add(acc, t)
-        return mul(acc, 1.0 / len(batch))
-
-    l_subject = average(subject_terms)
-    l_relation = average(relation_terms)
+        l_relation = pointer_bce(ro.logits, labels, weights, 1.0)
+    else:
+        l_relation = Tensor(np.asarray(0.0, dtype=dtype))
     return LossParts(
         total=add(l_subject, l_relation),
         subject=l_subject.item(),

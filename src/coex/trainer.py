@@ -136,6 +136,10 @@ class EpochMetrics:
     precision: float | None = None
     recall: float | None = None
     f1: float | None = None
+    # seconds summed over the epoch's batches in joint_loss, backward and adagrad_step
+    forward_s: float = 0.0
+    backward_s: float = 0.0
+    optimizer_s: float = 0.0
 
 
 def weight_health(named_tensors) -> tuple[int, float]:
@@ -208,19 +212,26 @@ def train(
     named = params.named_tensors()
     weighting = config.loss_weighting()
     for epoch in range(1, config.epochs + 1):
-        t0 = time.monotonic()
+        t0 = time.perf_counter()
         order = rng.permutation(len(examples))
         totals = np.zeros(3)
+        phases = np.zeros(3)  # forward, backward, optimizer
         batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
-            parts = joint_loss(batch, params, enc_cfg, rng, training=True, weighting=weighting)
             params.zero_grads()
+            t_fwd = time.perf_counter()
+            parts = joint_loss(batch, params, enc_cfg, rng, training=True, weighting=weighting)
+            t_bwd = time.perf_counter()
             parts.total.backward()
+            t_opt = time.perf_counter()
             adagrad_step(named, state, config.lr, config.weight_decay, config.adagrad_eps)
+            phases += (t_bwd - t_fwd, t_opt - t_bwd, time.perf_counter() - t_opt)
             totals += (parts.total.item(), parts.subject, parts.relation)
             batches += 1
-        wall_time_s = time.monotonic() - t0
+            # free this batch's graph before the next forward builds another
+            del parts
+        wall_time_s = time.perf_counter() - t0
         subnormal, max_abs = weight_health(named)
         m = EpochMetrics(
             epoch=epoch,
@@ -230,6 +241,9 @@ def train(
             wall_time_s=wall_time_s,
             subnormal_weights=subnormal,
             max_abs_weight=max_abs,
+            forward_s=phases[0],
+            backward_s=phases[1],
+            optimizer_s=phases[2],
         )
         if eval_corpus is not None:
             report = _evaluate(params, config, vocab, schema, eval_corpus)
@@ -243,7 +257,8 @@ def train(
             line = (
                 f"epoch {m.epoch:3d}  loss {m.mean_loss:.4f}"
                 f"  subject {m.mean_subject_loss:.4f}  relation {m.mean_relation_loss:.4f}"
-                f"  {m.wall_time_s:.1f}s"
+                f"  {m.wall_time_s:.1f}s (forward {m.forward_s:.1f}s, backward {m.backward_s:.1f}s,"
+                f" optimizer {m.optimizer_s:.1f}s)"
                 f"  subnormal {m.subnormal_weights}  max|w| {m.max_abs_weight:.3g}"
             )
             if m.f1 is not None:

@@ -4,16 +4,31 @@ bce_mean is the unfused weighted-mean BCE that pointer_bce is checked
 against; triples_from_labels decodes gold pointer labels back into triples;
 spans_loop and objects_by_column are the per-start, per-relation decode that
 the one-pass decode_spans and decode_objects are checked against;
-subnormal_count counts float32 subnormals independently of the trainer.
+subnormal_count counts float32 subnormals independently of the trainer;
+joint_loss_loop is the per-example cascade loss that the batched joint_loss
+is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from coex.autograd import Tensor, _make
+from coex.autograd import Tensor, _make, add, mul
 from coex.data import CLS_ID, SEP_ID
-from coex.tagger import RelationSchema, Span, Triple, content_mask, decode_spans
+from coex.encoder import encode
+from coex.tagger import (
+    LossParts,
+    RelationSchema,
+    Span,
+    Triple,
+    condition_on_spans,
+    content_mask,
+    decode_spans,
+    pointer_bce,
+    relation_cell_weights,
+    relation_object_scores,
+    subject_scores,
+)
 
 BCE_CLIP = 1e-7
 
@@ -89,3 +104,62 @@ def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
                     seen.add(t.key())
                     triples.append(t)
     return triples
+
+
+def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=None) -> LossParts:
+    """joint_loss one example at a time: encode, subject head, conditioning and
+    relation head per example, each dropout drawing from rng as it runs, and
+    the per-example terms summed over the batch."""
+    r = params.num_relations
+    subject_terms = []
+    relation_terms = []
+    for ex in batch:
+        n = len(ex.input.input_ids)
+        hidden = encode(ex.input, params.encoder, config, training, rng)
+        dtype = hidden.dtype
+        w = ex.input.input_mask.astype(dtype)[:, None]
+        n_unmasked = float(w.sum())
+
+        sc = subject_scores(hidden, params, config.dropout_p, training, rng)
+        s_labels = np.stack([ex.subject_start, ex.subject_end], axis=1).astype(dtype)
+        subject_terms.append(pointer_bce(sc.logits, s_labels, w, 2 * n_unmasked))
+
+        spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
+        if not spans:
+            continue
+        labels = np.zeros((len(spans), n, 2 * r), dtype=dtype)
+        for i, sub in enumerate(ex.subjects):
+            labels[i, :, :r] = sub.object_start
+            labels[i, :, r:] = sub.object_end
+        conditioned = condition_on_spans(hidden, [spans], [n])
+        ro = relation_object_scores(conditioned, params, config.dropout_p, training, rng)
+        n_gold = len(ex.subjects)
+        n_neg = len(ex.negative_spans)
+        per_gold = 1.0 / (n_unmasked * 2 * r)
+        per_neg = per_gold / max(n_neg, 1)
+        rw = np.concatenate(
+            [np.tile(w * per_gold, (n_gold, 1)), np.tile(w * per_neg, (n_neg, 1))]
+        )
+        if weighting is not None and not weighting.neutral:
+            rw = relation_cell_weights(
+                labels, rw.reshape(len(spans), n, 1), weighting
+            ).reshape(len(spans) * n, 2 * r)
+        relation_terms.append(
+            pointer_bce(ro.logits, labels.reshape(len(spans) * n, 2 * r), rw, 1.0)
+        )
+
+    def average(terms):
+        if not terms:
+            return Tensor(np.asarray(0.0, dtype=params.subject_w.dtype))
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = add(acc, t)
+        return mul(acc, 1.0 / len(batch))
+
+    l_subject = average(subject_terms)
+    l_relation = average(relation_terms)
+    return LossParts(
+        total=add(l_subject, l_relation),
+        subject=l_subject.item(),
+        relation=l_relation.item(),
+    )

@@ -172,6 +172,18 @@ def test_dropout_gradient_uses_same_mask():
     np.testing.assert_allclose(x.grad, (out.data > 0) * 2.0, rtol=1e-6)
 
 
+def test_dropout_bool_mask_matches_float_mask_bit_for_bit():
+    data = Rng(3).uniform(-2.0, 2.0, (17, 9))
+    x = tensor(data, requires_grad=True)
+    out = dropout(x, 0.3, training=True, rng=Rng(9))
+    g = Rng(4).uniform(-1.0, 1.0, (17, 9))
+    tsum(out * tensor(g)).backward()
+    keep = (Rng(9).random((17, 9), dtype=np.float32) >= 0.3).astype(np.float32)
+    scale = 1.0 / (1.0 - 0.3)
+    assert np.array_equal(out.data, data * keep * scale)
+    assert np.array_equal(x.grad, g * keep * scale)
+
+
 def test_embedding_lookup_gathers_and_scatters():
     table = tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
     ids = np.array([1, 1, 3])
@@ -203,14 +215,16 @@ def test_backward_on_constant_is_noop():
     assert c.grad is None
 
 
-def test_backward_accumulates_and_seeds_loss_with_one():
+def test_backward_keeps_grad_on_leaves_only_and_accumulates():
     x = tensor([2.0], requires_grad=True)
-    loss = tsum(square(x))
+    y = square(x)
+    loss = tsum(y)
     loss.backward()
     np.testing.assert_allclose(x.grad, [4.0])
-    np.testing.assert_allclose(loss.grad, 1.0)
+    assert loss.grad is None and y.grad is None
     loss.backward()
     np.testing.assert_allclose(x.grad, [8.0])
+    assert loss.grad is None and y.grad is None
 
 
 def test_shared_subexpression_grads_add():

@@ -101,6 +101,7 @@ def test_train_outputs(trained, capsys):
     assert [r["epoch"] for r in rows] == [1, 2]
     assert all(r["f1"] is not None for r in rows)
     assert all(r["subnormal_weights"] == 0 and r["max_abs_weight"] > 0 for r in rows)
+    assert all(r["forward_s"] > 0 and r["backward_s"] > 0 and r["optimizer_s"] > 0 for r in rows)
 
 
 def test_eval_reports_scores(trained, capsys):

@@ -12,6 +12,7 @@ from coex.encoder import (
     feed_forward,
     init_encoder_params,
     multi_head_attention,
+    pad_batch,
 )
 
 
@@ -168,6 +169,20 @@ def test_encode_shape_and_determinism():
     assert out1.shape == (5, cfg.model_dim)
     assert np.array_equal(out1.data, out2.data)
     assert not np.array_equal(out1.data, out3.data)
+
+
+def test_padded_batch_encodes_each_sentence_as_alone():
+    cfg = small_config()
+    params = init_encoder_params(cfg, Rng(9))
+    sentences = [make_input([2, 5, 7, 3]), make_input([2, 9, 4, 6, 8, 1, 10, 3]), make_input([2, 3])]
+    x = pad_batch(sentences)
+    assert x.input_ids.shape == (3, 8)
+    assert x.input_mask.tolist()[2] == [1, 1, 0, 0, 0, 0, 0, 0]
+    out = encode(x, params, cfg)
+    assert out.shape == (3 * 8, cfg.model_dim)
+    for b, s in enumerate(sentences):
+        alone = encode(s, params, cfg)
+        np.testing.assert_allclose(out.data[b * 8 : b * 8 + len(s)], alone.data, atol=1e-6)
 
 
 def test_encode_inference_mode_builds_no_graph():

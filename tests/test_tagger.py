@@ -206,21 +206,31 @@ def test_condition_on_spans_matches_per_span_loop():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(5, 3)).astype(np.float32)
     spans = [Span(1, 1), Span(0, 3), Span(2, 4)]
-    batched = condition_on_spans(Tensor(h), spans)
+    batched = condition_on_spans(Tensor(h), [spans], [5])
     for i, sp in enumerate(spans):
         single = condition_on_subject(Tensor(h), sp)
         np.testing.assert_allclose(batched.data[i * 5 : (i + 1) * 5], single.data, rtol=1e-5)
+    # a padded batch of three: example 1 has no spans, example 2 is 3 rows
+    # long in a 5-row slot; blocks pack ragged, padding rows never appear
+    h3 = rng.normal(size=(15, 3)).astype(np.float32)
+    spans3 = [[Span(0, 4), Span(2, 2)], [], [Span(1, 2)]]
+    packed = condition_on_spans(Tensor(h3), spans3, [5, 4, 3])
+    want = [condition_on_subject(Tensor(h3[:5]), sp).data for sp in spans3[0]]
+    want.append(condition_on_subject(Tensor(h3[10:13]), spans3[2][0]).data)
+    np.testing.assert_allclose(packed.data, np.concatenate(want), rtol=1e-5)
+    with pytest.raises(ValueError):
+        condition_on_spans(Tensor(h3), [[Span(1, 3)], [], []], [3, 4, 5])
 
 
 def test_condition_on_spans_gradient():
     rng = Rng(5)
-    h = Tensor(rng.uniform(-1, 1, (5, 3), dtype=np.float64), requires_grad=True)
-    spans = [Span(1, 2), Span(0, 4), Span(3, 3)]
+    h = Tensor(rng.uniform(-1, 1, (10, 3), dtype=np.float64), requires_grad=True)
+    spans = [[Span(1, 2), Span(0, 4), Span(3, 3)], [Span(0, 2), Span(2, 2)]]
 
     def f(params):
         from coex.autograd import square, tsum
 
-        return tsum(square(condition_on_spans(params[0], spans)))
+        return tsum(square(condition_on_spans(params[0], spans, [5, 3])))
 
     assert grad_check(f, [h], eps=1e-6) <= 1e-6
 
@@ -550,6 +560,75 @@ def test_joint_loss_gradients_small_model():
         return joint_loss(batch, params, cfg, rng=None, training=False).total
 
     assert grad_check(f, tensors, eps=1e-6) <= 1e-6
+
+
+def _mixed_length_batch(negatives=61, seed=5):
+    """A 5-token and a ~27-token sentence, the short one on both sides of the
+    long one, with gold subjects and sampled negatives."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_sentences=400, overlap_fraction=0.3, seed=seed))
+    short = RawExample("甲乙丙", [RawTriple("甲", "treats", "丙")])
+    vocab = build_vocab(corpus + [short])
+    schema = default_schema()
+    examples = encode_corpus(corpus + [short], vocab, schema, 128)
+    long = max(examples, key=lambda ex: (len(ex.input.input_ids), len(ex.subjects)))
+    rng = Rng(seed)
+    for ex in (examples[-1], long):
+        sample_negatives(ex, negatives, rng)
+    return [examples[-1], long, examples[-1]], vocab, schema
+
+
+def test_batched_joint_loss_matches_per_example_loop():
+    from oracles import joint_loss_loop
+
+    batch, vocab, schema = _mixed_length_batch()
+    lengths = [len(ex.input.input_ids) for ex in batch]
+    assert lengths[0] == 5 and lengths[1] >= 25 and batch[1].subjects
+    cfg = EncoderConfig(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=48,
+                        num_layers=2, max_seq_len=64, dropout_p=0.1)
+    params = init_model_params(cfg, len(schema), Rng(21))
+    named = params.named_tensors()
+    wt = LossWeighting(60.0, 10.0, 10.0)
+    runs = {}
+    for name, loss_fn in (("batched", joint_loss), ("loop", joint_loss_loop)):
+        params.zero_grads()
+        rng = Rng(17)
+        parts = loss_fn(batch, params, cfg, rng, training=True, weighting=wt)
+        parts.total.backward()
+        grads = {n: t.grad.copy() for n, t in named}
+        runs[name] = (parts, grads, rng.random(4))
+    (a, ga, next_a), (b, gb, next_b) = runs["batched"], runs["loop"]
+    assert a.total.item() == pytest.approx(b.total.item(), rel=1e-5)
+    assert a.subject == pytest.approx(b.subject, rel=1e-5)
+    assert a.relation == pytest.approx(b.relation, rel=1e-5)
+    assert np.array_equal(next_a, next_b)
+    largest = max(float(np.abs(g).max()) for g in gb.values())
+    for n, _ in named:
+        # softmax is shift-invariant per query, so d/d b_k is exactly zero and
+        # both sides hold only rounding noise: judge it against the largest gradient
+        scale = largest if n.endswith(".b_k") else float(np.abs(gb[n]).max())
+        assert np.abs(ga[n] - gb[n]).max() <= 1e-4 * scale, n
+
+
+def test_joint_loss_gradient_check_on_padded_batch():
+    from oracles import joint_loss_loop
+
+    batch, vocab, schema = _mixed_length_batch(negatives=3, seed=6)
+    batch = batch[:2]
+    cfg = EncoderConfig(vocab_size=len(vocab), model_dim=4, num_heads=2, ffn_dim=6,
+                        num_layers=1, max_seq_len=32, dropout_p=0.0)
+    errors = {}
+    for dtype, eps in ((np.float32, 1e-3), (np.float64, 1e-6)):
+        params = init_model_params(cfg, len(schema), Rng(12), dtype=dtype)
+        tensors = [t for _, t in params.named_tensors()]
+
+        def f(_):
+            return joint_loss(batch, params, cfg, rng=None, training=False).total
+
+        # the short example's padding reaches every layer; masked, it changes nothing
+        loop = joint_loss_loop(batch, params, cfg, rng=None, training=False).total.item()
+        assert f(None).item() == pytest.approx(loop, rel=1e-5 if dtype == np.float32 else 1e-12)
+        errors[dtype] = grad_check(f, tensors, eps=eps)
+    assert errors[np.float32] <= 1e-3 and errors[np.float64] <= 1e-6, errors
 
 
 def _solved_model(text, subject_span, relation_idx, object_span, schema):

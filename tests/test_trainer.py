@@ -137,6 +137,8 @@ def test_train_metrics_shape():
     assert [m.epoch for m in result.metrics] == [1, 2]
     for m in result.metrics:
         assert m.wall_time_s > 0
+        phases = (m.forward_s, m.backward_s, m.optimizer_s)
+        assert min(phases) >= 0 and sum(phases) <= m.wall_time_s
         assert abs(m.mean_loss - (m.mean_subject_loss + m.mean_relation_loss)) < 1e-5
         assert m.f1 is None
         assert m.subnormal_weights == 0 and m.max_abs_weight > 0
@@ -215,6 +217,7 @@ def test_save_metrics_jsonl(tmp_path):
     assert first["f1"] is None
     assert (first["subnormal_weights"], first["max_abs_weight"]) == (7, 0.75)
     assert (parsed["subnormal_weights"], parsed["max_abs_weight"]) == (0, 0.5)
+    assert (first["forward_s"], first["backward_s"], first["optimizer_s"]) == (0.0, 0.0, 0.0)
 
 
 def fresh_params(num_relations=4, vocab_size=50, seed=9):
