@@ -134,8 +134,9 @@ def _as_tensor(x, dtype) -> Tensor:
 
 def _make(data, parents, backward_fn) -> Tensor:
     """Wrap an op result; the graph edge exists only if a parent needs grad."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(data)
 
 
@@ -293,9 +294,9 @@ def square(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"softmax: axis {axis} out of range for shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def back(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -313,9 +314,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # the reduce-then-divide form of .mean, bit for bit, without its call overhead
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv_sigma = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_sigma
     out = gamma.data * xhat + beta.data
@@ -379,11 +381,10 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    out = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
+    out = a.data.transpose(axes)
 
     def back(g):
-        return (np.transpose(g, inverse),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(out, (a,), back)
 

@@ -34,6 +34,7 @@ from .autograd import (
 )
 
 MASK_BIAS = -1e9
+UNIFORM_LOGIT_BOUND = 2.0**-27  # see _uniform_attention
 
 
 @dataclass
@@ -191,30 +192,59 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
+def _uniform_attention(q: Tensor, k: Tensor, mask: np.ndarray, heads: int, reach: float):
+    """Attention weights [B, heads, L, L] when no float32 logit can move the
+    softmax off uniform and no gradient is needed, else None.
+
+    |logit| <= reach · max|q| · max|k| with reach = head_dim · scale. Within
+    2⁻²⁷, max-shifted logits lie in [-2⁻²⁶, 0], where float32 exp returns
+    exactly 1: each unmasked key gets exactly 1/count, each masked key 0 (all
+    keys 1/L when all are masked). NaN or inf fails the test. Contiguous
+    weights keep att @ v on the same BLAS call as after a softmax.
+    """
+    if q.requires_grad or k.requires_grad or q.dtype != np.float32:
+        return None
+    largest = reach * float(np.abs(q.data).max(initial=0.0)) * float(np.abs(k.data).max(initial=0.0))
+    if not largest <= UNIFORM_LOGIT_BOUND:
+        return None
+    keys = mask.astype(q.dtype)
+    keys[~keys.any(axis=1)] = 1
+    keys /= np.add.reduce(keys, axis=1, keepdims=True)
+    att = np.empty((mask.shape[0], heads, mask.shape[1], mask.shape[1]), dtype=q.dtype)
+    att[...] = keys[:, None, None, :]
+    return Tensor(att)
+
+
 def multi_head_attention(
     x: Tensor, mask: np.ndarray, layer: LayerParams, config: EncoderConfig
 ) -> Tensor:
     """Scaled dot-product attention per head; masked keys get weight exactly 0.
 
     x is [B·L, d] and mask [B, L] (or [n] for one sentence); each example
-    attends only within its own L rows.
+    attends only within its own L rows. Without gradients, a layer whose
+    logits are provably too small to matter skips q @ k and the softmax
+    (see _uniform_attention); the result is bit-identical either way.
     """
-    mask = np.atleast_2d(mask)
+    if mask.ndim == 1:
+        mask = mask[None]
     b, n = mask.shape
     d = x.shape[1]
     nh, hd = config.num_heads, config.head_dim
+    scale = 1.0 / math.sqrt(hd)
     q = _linear(x, layer.w_q, layer.b_q)
     k = _linear(x, layer.w_k, layer.b_k)
     v = _linear(x, layer.w_v, layer.b_v)
     # [B·L, d] -> [B, heads, L, head_dim]
-    q = transpose(reshape(q, (b, n, nh, hd)), (0, 2, 1, 3))
-    k = transpose(reshape(k, (b, n, nh, hd)), (0, 2, 3, 1))
     v = transpose(reshape(v, (b, n, nh, hd)), (0, 2, 1, 3))
-    logits = mul(matmul(q, k), 1.0 / math.sqrt(hd))
-    if not mask.all():  # adding an all-zero bias would change nothing
-        bias = ((1 - mask) * MASK_BIAS).astype(x.dtype)[:, None, None, :]
-        logits = add(logits, Tensor(bias))
-    att = softmax(logits, axis=-1)
+    att = _uniform_attention(q, k, mask, nh, hd * scale)
+    if att is None:
+        q = transpose(reshape(q, (b, n, nh, hd)), (0, 2, 1, 3))
+        k = transpose(reshape(k, (b, n, nh, hd)), (0, 2, 3, 1))
+        logits = mul(matmul(q, k), scale)
+        if not mask.all():  # adding an all-zero bias would change nothing
+            bias = ((1 - mask) * MASK_BIAS).astype(x.dtype)[:, None, None, :]
+            logits = add(logits, Tensor(bias))
+        att = softmax(logits, axis=-1)
     ctx = matmul(att, v)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * n, d))
     return _linear(ctx, layer.w_o, layer.b_o)

@@ -14,6 +14,7 @@ the two binary cross-entropy terms are summed into one joint loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -160,23 +161,30 @@ def init_model_params(
 
 
 @dataclass
-class SubjectScores:
-    """Squared-sigmoid pointer scores per token; `logits` keeps the grad path."""
+class PointerScores:
+    """Pointer logits per token; `logits` keeps the grad path. The
+    squared-sigmoid scores are computed on first read, so training, which
+    reads only the logits, never computes them."""
 
-    start: np.ndarray
-    end: np.ndarray
-    scores: Tensor
     logits: Tensor
 
+    @cached_property
+    def scores(self) -> Tensor:
+        return square(sigmoid(self.logits))
 
-@dataclass
-class RelationObjectScores:
-    """Per-token scores with columns [0:R] = starts, [R:2R] = ends."""
 
-    start: np.ndarray
-    end: np.ndarray
-    scores: Tensor
-    logits: Tensor
+class SubjectScores(PointerScores):
+    """Columns 0 = start, 1 = end."""
+
+    start = property(lambda self: self.scores.data[:, 0])
+    end = property(lambda self: self.scores.data[:, 1])
+
+
+class RelationObjectScores(PointerScores):
+    """Columns [0:R] = starts, [R:2R] = ends."""
+
+    start = property(lambda self: self.scores.data[:, : self.logits.shape[1] // 2])
+    end = property(lambda self: self.scores.data[:, self.logits.shape[1] // 2 :])
 
 
 def subject_scores(
@@ -187,9 +195,7 @@ def subject_scores(
     rng: Rng | None = None,
 ) -> SubjectScores:
     h = dropout(hidden, dropout_p, training, rng)
-    z = add(matmul(h, params.subject_w), params.subject_b)
-    s = square(sigmoid(z))
-    return SubjectScores(start=s.data[:, 0], end=s.data[:, 1], scores=s, logits=z)
+    return SubjectScores(add(matmul(h, params.subject_w), params.subject_b))
 
 
 def relation_object_scores(
@@ -199,11 +205,8 @@ def relation_object_scores(
     training: bool = False,
     rng: Rng | None = None,
 ) -> RelationObjectScores:
-    r = params.num_relations
     h = dropout(conditioned, dropout_p, training, rng)
-    z = add(matmul(h, params.relation_w), params.relation_b)
-    s = square(sigmoid(z))
-    return RelationObjectScores(start=s.data[:, :r], end=s.data[:, r:], scores=s, logits=z)
+    return RelationObjectScores(add(matmul(h, params.relation_w), params.relation_b))
 
 
 def _pair_pointers(

@@ -173,10 +173,13 @@ class TrainResult:
 def _evaluate(params, config: TrainConfig, vocab, schema, eval_corpus):
     from .evaluator import score_triples
 
+    # a frozen view, new tensors over the same arrays: no op records a graph
+    arrays = {name: t.data for name, t in params.named_tensors()}
+    frozen = _params_from_tensors(_header_dict(params, config), arrays)[0].freeze()
     predictions, gold = [], []
     for raw in eval_corpus:
         predictions.append(
-            extract_triples(raw.text, params, config.encoder, vocab, schema, config.threshold)
+            extract_triples(raw.text, frozen, config.encoder, vocab, schema, config.threshold)
         )
         gold.append([(t.subject, t.predicate, t.object) for t in raw.triples])
     return score_triples(predictions, gold)

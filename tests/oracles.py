@@ -6,7 +6,8 @@ spans_loop and objects_by_column are the per-start, per-relation decode that
 the one-pass decode_spans and decode_objects are checked against;
 subnormal_count counts float32 subnormals independently of the trainer;
 joint_loss_loop is the per-example cascade loss that the batched joint_loss
-is checked against.
+is checked against; layer_norm_ref and softmax_ref are the forwards that
+layer_norm and softmax must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -163,3 +164,17 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         subject=l_subject.item(),
         relation=l_relation.item(),
     )
+
+
+def layer_norm_ref(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
+    """layer_norm's forward written with ndarray.mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return gamma * (centered * (1.0 / np.sqrt(var + eps))) + beta
+
+
+def softmax_ref(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """softmax's forward written with ndarray.max and ndarray.sum."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)

@@ -21,6 +21,7 @@ from coex.autograd import (
     transpose,
     tsum,
 )
+from oracles import layer_norm_ref, softmax_ref
 
 
 def test_matmul_known_product():
@@ -140,6 +141,21 @@ def test_layer_norm_scale_shift():
 def test_layer_norm_mismatched_gamma_raises():
     with pytest.raises(ValueError):
         layer_norm(tensor(np.zeros((2, 4))), tensor(np.ones(3)), tensor(np.zeros(3)))
+
+
+def test_layer_norm_and_softmax_equal_mean_and_sum_oracles_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (3, 7), (20, 128), (2, 4, 9, 9), (5, 256)]
+    for i in range(200):
+        shape = shapes[i % len(shapes)]
+        dtype = np.float64 if i % 10 == 0 else np.float32
+        x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+        gamma = rng.normal(size=shape[-1]).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5).data
+        assert np.array_equal(out, layer_norm_ref(x, gamma, beta, 1e-5))
+        for axis in range(-x.ndim, x.ndim):
+            assert np.array_equal(softmax(Tensor(x), axis=axis).data, softmax_ref(x, axis))
 
 
 def test_dropout_identity_cases():

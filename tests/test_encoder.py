@@ -3,6 +3,7 @@ import pytest
 
 from coex.autograd import Rng, Tensor, grad_check, softmax, square, tensor, tsum
 from coex.encoder import (
+    UNIFORM_LOGIT_BOUND,
     EncodedInput,
     EncoderConfig,
     EncoderParams,
@@ -221,3 +222,110 @@ def test_encoder_grad_check_float64():
         return tsum(square(encode(x, params, cfg)))
 
     assert grad_check(f, tensors, eps=1e-6) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# no-grad forward: the uniform-attention skip is exact
+
+
+def _attention_config():
+    return small_config(vocab_size=30, model_dim=32, num_heads=4, ffn_dim=64, max_seq_len=20)
+
+
+def _counting_softmax(monkeypatch):
+    """Count softmax calls made by the encoder."""
+    import coex.encoder as encoder_module
+
+    calls = []
+    real = encoder_module.softmax
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(encoder_module, "softmax", counted)
+    return calls
+
+
+def _grad_and_frozen_encode(x, params, cfg, calls):
+    """(grad-mode hidden, no-grad hidden, softmax calls of the no-grad pass)
+    from the same weights; leaves params frozen."""
+    with_grad = encode(x, params, cfg)
+    assert with_grad.requires_grad
+    for _, p in _named(params):
+        p.requires_grad = False
+    calls.clear()
+    frozen = encode(x, params, cfg)
+    assert not frozen.requires_grad
+    return with_grad.data, frozen.data, len(calls)
+
+
+def _scale_attention(layer, s: float):
+    layer.w_q.data *= s
+    layer.w_k.data *= s
+
+
+def test_no_grad_encode_is_bit_identical_without_skip(monkeypatch):
+    calls = _counting_softmax(monkeypatch)
+    cfg = _attention_config()
+    params = init_encoder_params(cfg, Rng(21))
+    grad, frozen, softmaxes = _grad_and_frozen_encode(make_input([2, 7, 11, 4, 9, 3]), params, cfg, calls)
+    assert softmaxes == cfg.num_layers  # random-init logits are far above the bound
+    assert np.array_equal(grad, frozen)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-3, 1e-2])
+def test_no_grad_encode_is_bit_identical_with_tiny_attention(monkeypatch, scale):
+    calls = _counting_softmax(monkeypatch)
+    cfg = _attention_config()
+    params = init_encoder_params(cfg, Rng(22))
+    _scale_attention(params.layers[1], scale)
+    grad, frozen, softmaxes = _grad_and_frozen_encode(
+        make_input([2, 5, 17, 8, 23, 1, 12, 3]), params, cfg, calls
+    )
+    if scale == 1e-20:
+        assert softmaxes == cfg.num_layers - 1  # layer 1 skipped q @ k and softmax
+    assert np.array_equal(grad, frozen)
+
+
+def test_uniform_attention_skip_is_exact_at_its_bound(monkeypatch):
+    # scale layer 0's q and k so the logit bound sits just under 2^-27: the
+    # skip fires, and the softmax it replaces is exactly uniform too
+    calls = _counting_softmax(monkeypatch)
+    cfg = _attention_config()
+    params = init_encoder_params(cfg, Rng(23))
+    x = make_input([2, 9, 14, 6, 28, 4, 19, 3])
+    h = embed_inputs(x, params, cfg).data
+    layer = params.layers[0]
+    hd = cfg.head_dim
+    reach = hd / np.sqrt(hd) * np.abs(h @ layer.w_q.data).max() * np.abs(h @ layer.w_k.data).max()
+    _scale_attention(layer, 0.99 * np.sqrt(UNIFORM_LOGIT_BOUND / reach))
+    grad, frozen, softmaxes = _grad_and_frozen_encode(x, params, cfg, calls)
+    assert softmaxes == cfg.num_layers - 1
+    assert np.array_equal(grad, frozen)
+
+
+def test_no_grad_encode_is_bit_identical_on_padded_batch(monkeypatch):
+    calls = _counting_softmax(monkeypatch)
+    cfg = _attention_config()
+    params = init_encoder_params(cfg, Rng(24))
+    _scale_attention(params.layers[0], 1e-20)
+    sentences = [
+        make_input([2, 5, 7, 3]),
+        make_input([2, 9, 4, 6, 8, 1, 10, 3]),
+        make_input([2, 6, 3], mask=np.zeros(3, dtype=np.int64)),  # every key masked
+    ]
+    x = pad_batch(sentences)
+    assert not x.input_mask.all()
+    grad, frozen, softmaxes = _grad_and_frozen_encode(x, params, cfg, calls)
+    assert softmaxes == cfg.num_layers - 1
+    assert np.array_equal(grad, frozen)
+
+
+def test_exp_is_exactly_one_on_the_skip_range():
+    # the skip's 2^-27 bound keeps max-shifted logits in [-2^-26, 0]; float32
+    # exp must return exactly 1 on twice that width, contiguous and strided
+    x = np.linspace(-(2.0**-25), 0.0, 1_000_001, dtype=np.float32)
+    assert x[0] == -(2.0**-25) and x[-1] == 0.0
+    assert np.all(np.exp(x) == 1.0)
+    assert np.all(np.exp(x[::-7]) == 1.0)

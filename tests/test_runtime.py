@@ -27,7 +27,7 @@ from coex.trainer import (
 )
 from coex.runtime import (
     InferenceModel,
-    _encode_with_self_byte_count,
+    _close_with_self_byte_count,
     create_server,
     export_model,
     infer,
@@ -167,9 +167,10 @@ def test_load_rejects_tampered_tensor_payload(tmp_path):
 def test_response_byte_count_fixed_point():
     # the count participates in its own serialization; force digit growth
     for pad in range(0, 40, 7):
-        body = _encode_with_self_byte_count({"triples": [], "filler": "x" * pad})
+        body = _close_with_self_byte_count('{"triples": [], "filler": "' + "x" * pad + '"')
         parsed = json.loads(body.decode("utf-8"))
         assert parsed["response_bytes"] == len(body)
+        assert list(parsed) == ["triples", "filler", "response_bytes"]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,9 @@ def test_extract_contract(served):
         for t in infer(model, text)
     ]
     assert obj["triples"] == want
+    assert list(obj) == [
+        "triples", "truncated", "model_version", "request_bytes", "latency_ms", "response_bytes"
+    ]
     assert obj["model_version"] == model.model_version
     assert obj["request_bytes"] == len(request)
     assert obj["response_bytes"] == len(body)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from coex.encoder import EncoderConfig
 from coex.tagger import (
     LossWeighting,
     ModelParams,
-    RelationObjectScores,
     RelationSchema,
     SchemaError,
     Span,
@@ -143,7 +143,7 @@ def test_one_pass_decode_matches_per_column_loop():
         start = rng.uniform(0.0, 1.0, (n, r)).astype(np.float32)
         end = rng.uniform(0.0, 1.0, (n, r)).astype(np.float32)
         mask = (rng.uniform(size=n) < 0.8).astype(np.int64)
-        scores = RelationObjectScores(start=start, end=end, scores=None, logits=None)
+        scores = SimpleNamespace(start=start, end=end)  # what decode_objects reads
         want = objects_by_column(start, end, mask, thr)
         assert decode_objects(scores, mask, thr) == want
         for c in range(r):
