@@ -41,25 +41,6 @@ class Rng:
         return self.random(shape, dtype=dtype) >= p
 
 
-class DrawnMasks:
-    """Keep masks drawn ahead of time, handed out in call order.
-
-    Stands in for an Rng wherever dropout takes one, so a batched forward can
-    replay masks that were drawn in some other order (see tagger.joint_loss).
-    """
-
-    def __init__(self, masks):
-        self._masks = list(reversed(masks))
-
-    def keep_mask(self, shape, p: float, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        if not self._masks:
-            raise ValueError(f"DrawnMasks: no mask left for shape {tuple(shape)}")
-        keep = self._masks.pop()
-        if keep.shape != tuple(shape):
-            raise ValueError(f"DrawnMasks: next mask has shape {keep.shape}, dropout wants {tuple(shape)}")
-        return keep
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -334,7 +315,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Rng | DrawnMasks | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-p). Identity when not training.
 
     The backward closure keeps the bool keep mask, a quarter of a float32 one.

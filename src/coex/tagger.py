@@ -3,8 +3,10 @@
 One shared encoder feeds two heads. The subject head tags start/end pointers
 per token. The relation-object head, conditioned on a subject span by adding
 the span's mean hidden vector to every position, tags start/end pointers per
-token per relation. Both heads squash logits through a squared sigmoid and
-the same squared scores are thresholded at decode time.
+token per relation. Being linear, it is computed factorized, (h + m)·W + b =
+h·W + m·W + b, and never forms the conditioned rows. Both heads squash logits
+through a squared sigmoid and the same squared scores are thresholded at
+decode time.
 
 Training uses teacher forcing: gold subject spans (plus sampled negative
 spans, which carry all-zero object labels) condition the relation head, and
@@ -20,7 +22,6 @@ import numpy as np
 
 from .autograd import (
     DEFAULT_DTYPE,
-    DrawnMasks,
     Rng,
     Tensor,
     add,
@@ -199,14 +200,20 @@ def subject_scores(
 
 
 def relation_object_scores(
-    conditioned: Tensor,
+    hidden: Tensor,
+    means: Tensor,
+    spans: list[list[Span]],
+    lengths: list[int],
     params: ModelParams,
-    dropout_p: float = 0.0,
-    training: bool = False,
-    rng: Rng | None = None,
 ) -> RelationObjectScores:
-    h = dropout(conditioned, dropout_p, training, rng)
-    return RelationObjectScores(add(matmul(h, params.relation_w), params.relation_b))
+    """Logits [sum of len(spans[b]) * lengths[b], 2R]: per example, one block of
+    its rows per span, each hidden·W plus that span's row of means·W, plus the
+    bias. means is condition_on_spans(hidden, spans, lengths)."""
+    tokens = matmul(hidden, params.relation_w)
+    per_span = matmul(means, params.relation_w)
+    return RelationObjectScores(
+        add(_pack_span_blocks(tokens, per_span, spans, lengths), params.relation_b)
+    )
 
 
 def _pair_pointers(
@@ -260,7 +267,10 @@ def decode_objects(
 
 
 def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
-    """Add the mean hidden vector over the span's rows to every position."""
+    """Add the mean hidden vector over the span's rows to every position.
+
+    Nothing in coex calls it any more; bench/tracing.py still wraps it by
+    name, and ROADMAP item 3 deletes it."""
     n = hidden.shape[0]
     if span.end >= n:
         raise ValueError(f"span ({span.start}, {span.end}) exceeds sequence length {n}")
@@ -269,49 +279,67 @@ def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
     return add(hidden, matmul(Tensor(m), hidden))
 
 
-def condition_on_spans(
-    hidden: Tensor, spans: list[list[Span]], lengths: list[int]
-) -> Tensor:
-    """Conditioning packed over a padded batch, one block per span, ragged.
-
-    hidden is [B·L, d]; example b has spans[b] and its first lengths[b] rows.
-    For each example in turn and each of its spans, the block is the
-    example's rows plus the span's mean row: [sum of len(spans[b]) * lengths[b], d].
-    """
-    rows, d = hidden.shape
+def _span_blocks(rows: int, spans: list[list[Span]], lengths: list[int]):
+    """(first token row, length, first span row, spans) of each example that
+    has spans, for [B·L] token rows and spans packed example by example."""
     if not lengths or len(spans) != len(lengths) or rows % len(lengths):
         raise ValueError(f"{len(spans)} span lists and {len(lengths)} lengths for {rows} rows")
     width = rows // len(lengths)
-    h = hidden.data
-    blocks = []  # (first hidden row, length, mean matrix [s, n])
+    blocks, first_span = [], 0
     for b, (ss, n) in enumerate(zip(spans, lengths)):
         if not ss:
             continue
-        lo = np.array([sp.start for sp in ss])
-        hi = np.array([sp.end for sp in ss])
-        if hi.max() >= n or n > width:
+        if n > width or max(sp.end for sp in ss) >= n:
             raise ValueError(f"a span of example {b} exceeds its sequence length {n}")
-        cols = np.arange(n)
-        m = ((cols >= lo[:, None]) & (cols <= hi[:, None])) * (1.0 / (hi - lo + 1))[:, None]
-        blocks.append((b * width, n, m.astype(h.dtype)))
-    out = np.empty((sum(len(m) * n for _, n, m in blocks), d), dtype=h.dtype)
-    pos = 0
-    for first, n, m in blocks:
-        hb = h[first : first + n]
-        block = out[pos : pos + len(m) * n].reshape(len(m), n, d)
-        np.add(hb[None, :, :], (m @ hb)[:, None, :], out=block)
-        pos += len(m) * n
+        blocks.append((b * width, n, first_span, ss))
+        first_span += len(ss)
+    return blocks
+
+
+def condition_on_spans(
+    hidden: Tensor, spans: list[list[Span]], lengths: list[int]
+) -> Tensor:
+    """Mean hidden row of every span of a padded batch: [sum of len(spans[b]), d].
+
+    hidden is [B·L, d]; example b has spans[b] over its first lengths[b] rows.
+    Rows follow the spans example by example. One matmul by a constant
+    averaging matrix, so the gradient needs no backward of its own.
+    """
+    rows = hidden.shape[0]
+    avg = np.zeros((sum(len(ss) for ss in spans), rows), dtype=hidden.dtype)
+    for first, _, lo, ss in _span_blocks(rows, spans, lengths):
+        for i, sp in enumerate(ss):
+            avg[lo + i, first + sp.start : first + sp.end + 1] = 1.0 / len(sp)
+    return matmul(Tensor(avg), hidden)
+
+
+def _pack_span_blocks(
+    tokens: Tensor, per_span: Tensor, spans: list[list[Span]], lengths: list[int]
+) -> Tensor:
+    """Per example b and each of its spans s, the block tokens[rows of b] +
+    per_span[s], packed into [sum of len(spans[b]) * lengths[b], C]. Backward
+    sums each block over its spans for the token rows, and over its tokens
+    for the span rows."""
+    t, s = tokens.data, per_span.data
+    c = t.shape[1]
+    # (first token row, length, first span row, span count, first packed row)
+    blocks, pos = [], 0
+    for first, n, lo, ss in _span_blocks(t.shape[0], spans, lengths):
+        blocks.append((first, n, lo, len(ss), pos))
+        pos += len(ss) * n
+    out = np.empty((pos, c), dtype=t.dtype)
+    for first, n, lo, k, at in blocks:
+        np.add(t[None, first : first + n], s[lo : lo + k, None], out=out[at : at + k * n].reshape(k, n, c))
 
     def back(g):
-        gh = np.zeros_like(h)
-        pos = 0
-        for first, n, m in blocks:
-            g3 = g[pos : pos + len(m) * n].reshape(len(m), n, d)
-            gh[first : first + n] = g3.sum(axis=0) + m.T @ g3.sum(axis=1)
-            pos += len(m) * n
-        return (gh,)
+        gt, gs = np.zeros_like(t), np.zeros_like(s)
+        for first, n, lo, k, at in blocks:
+            g3 = g[at : at + k * n].reshape(k, n, c)
+            gt[first : first + n] = g3.sum(axis=0)
+            gs[lo : lo + k] = g3.sum(axis=1)
+        return gt, gs
 
-    return _make(out, (hidden,), back)
+    return _make(out, (tokens, per_span), back)
 
 
 def pointer_bce(
@@ -409,25 +437,6 @@ def relation_cell_weights(
     return out * np.take(boost, rule)
 
 
-def _batch_dropout_masks(rng: Rng, lengths, span_counts, sites: int, width: int, d: int, p, dtype):
-    """Keep masks for one batch, drawn per example in the order a per-example
-    forward draws them: each of the `sites` token-level sites on [n, d], then
-    the relation rows on [s·n, d]. Token masks are scattered into the padded
-    [B·width, d] layout, relation masks packed as condition_on_spans packs
-    rows. The result replays them in forward order."""
-    token = np.zeros((sites, len(lengths), width, d), dtype=bool)
-    relation = []
-    for b, (n, s) in enumerate(zip(lengths, span_counts)):
-        for k in range(sites):
-            token[k, b, :n] = rng.keep_mask((n, d), p, dtype)
-        if s:
-            relation.append(rng.keep_mask((s * n, d), p, dtype))
-    masks = list(token.reshape(sites, -1, d))
-    if relation:
-        masks.append(np.concatenate(relation))
-    return DrawnMasks(masks)
-
-
 def joint_loss(
     batch,
     params: ModelParams,
@@ -451,8 +460,9 @@ def joint_loss(
 
     The whole batch runs as one padded forward: one encoder pass, one subject
     head, every conditioning span packed into one relation-head call, and one
-    pointer_bce per head. Dropout masks are drawn per example in the order a
-    per-example forward draws them, so a seed gives the same loss either way.
+    pointer_bce per head. Each dropout site draws one keep mask on the padded
+    [B·L, d] rows, straight from rng. The relation head's input rows share one
+    mask, and each span mean averages those dropped rows.
     """
     if not batch:
         raise ValueError("joint_loss: empty batch")
@@ -468,15 +478,6 @@ def joint_loss(
                 raise ValueError(f"object labels shape {sub.object_start.shape} != ({n}, {r})")
     x = pad_batch([ex.input for ex in batch])
     width = x.input_ids.shape[1]
-    if training and config.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("joint_loss: rng required in training mode")
-        sites = 2 + 2 * len(params.encoder.layers)  # embed, attn and ffn per layer, subject
-        rng = _batch_dropout_masks(
-            rng, lengths, [len(s) for s in spans], sites, width, config.model_dim,
-            config.dropout_p, dtype,
-        )
-
     hidden = encode(x, params.encoder, config, training, rng)
     # each example's unmasked positions share its 1/B of the loss
     w = x.input_mask.astype(dtype)
@@ -493,8 +494,8 @@ def joint_loss(
         sc.logits, s_labels.reshape(-1, 2), (w / 2).reshape(-1, 1), 1.0
     )
 
-    # relation rows packed as condition_on_spans packs them: per example, one
-    # block of its n rows per span, gold spans first
+    # relation rows packed as relation_object_scores packs them: per example,
+    # one block of its n rows per span, gold spans first
     labels = np.zeros((sum(len(ss) * n for ss, n in zip(spans, lengths)), 2 * r), dtype=dtype)
     weights = np.empty_like(labels)
     pos = 0
@@ -514,8 +515,9 @@ def joint_loss(
         weights[pos : pos + s * n].reshape(s, n, 2 * r)[...] = base
         pos += s * n
     if len(labels):
-        conditioned = condition_on_spans(hidden, spans, lengths)
-        ro = relation_object_scores(conditioned, params, config.dropout_p, training, rng)
+        h = dropout(hidden, config.dropout_p, training, rng)
+        means = condition_on_spans(h, spans, lengths)
+        ro = relation_object_scores(h, means, spans, lengths, params)
         l_relation = pointer_bce(ro.logits, labels, weights, 1.0)
     else:
         l_relation = Tensor(np.asarray(0.0, dtype=dtype))
@@ -542,7 +544,8 @@ def extract_triples(
     schema: RelationSchema,
     threshold: float = 0.5,
 ) -> list[Triple]:
-    """Tokenize, encode, decode subjects, then objects per subject.
+    """Tokenize, encode, decode subjects, score every subject's relation block
+    in one relation-head call, then decode objects per subject.
 
     Returns de-duplicated triples ordered by subject start, relation index,
     object start. Surface strings come from character offsets.
@@ -561,10 +564,15 @@ def extract_triples(
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
     subj_spans = decode_subject_spans(subject_scores(hidden, params), mask, threshold)
-    for s_span in sorted(subj_spans, key=lambda sp: (sp.start, sp.end)):
-        conditioned = condition_on_subject(hidden, s_span)
-        ro = relation_object_scores(conditioned, params)
-        for rel, o_span in decode_objects(ro, mask, threshold):
+    subj_spans = sorted(subj_spans, key=lambda sp: (sp.start, sp.end))
+    if not subj_spans:
+        return triples
+    n = len(ids)
+    means = condition_on_spans(hidden, [subj_spans], [n])
+    logits = relation_object_scores(hidden, means, [subj_spans], [n], params).logits.data
+    for i, s_span in enumerate(subj_spans):
+        block = RelationObjectScores(Tensor(logits[i * n : (i + 1) * n]))
+        for rel, o_span in decode_objects(block, mask, threshold):
             t = Triple(
                 subject=surface(s_span),
                 predicate=schema.predicates[rel],

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import tagger
 from .autograd import Rng, Tensor
 from .data import Vocab, build_vocab, encode_corpus, sample_negatives
 from .encoder import EncoderConfig, EncoderParams, LayerParams
@@ -140,6 +141,8 @@ class EpochMetrics:
     forward_s: float = 0.0
     backward_s: float = 0.0
     optimizer_s: float = 0.0
+    # teacher-forced joint loss on the eval corpus, dropout off, per example
+    heldout_loss: float | None = None
 
 
 def weight_health(named_tensors) -> tuple[int, float]:
@@ -170,7 +173,10 @@ class TrainResult:
     best_f1: float | None = None
 
 
-def _evaluate(params, config: TrainConfig, vocab, schema, eval_corpus):
+def _evaluate(params, config: TrainConfig, vocab, schema, eval_corpus, eval_examples):
+    """(triple scores, held-out loss): extraction scored against the eval
+    corpus, and the mean teacher-forced joint loss over its encoded examples
+    with dropout off, in batches of batch_size."""
     from .evaluator import score_triples
 
     # a frozen view, new tensors over the same arrays: no op records a graph
@@ -182,7 +188,17 @@ def _evaluate(params, config: TrainConfig, vocab, schema, eval_corpus):
             extract_triples(raw.text, frozen, config.encoder, vocab, schema, config.threshold)
         )
         gold.append([(t.subject, t.predicate, t.object) for t in raw.triples])
-    return score_triples(predictions, gold)
+    total = 0.0
+    for lo in range(0, len(eval_examples), config.batch_size):
+        batch = eval_examples[lo : lo + config.batch_size]
+        # through the module: bench/tracing.py rebinds this module's joint_loss
+        # to count optimizer steps
+        parts = tagger.joint_loss(
+            batch, frozen, config.encoder, training=False, weighting=config.loss_weighting()
+        )
+        total += parts.total.item() * len(batch)
+    loss = total / len(eval_examples) if eval_examples else None
+    return score_triples(predictions, gold), loss
 
 
 def train(
@@ -196,8 +212,10 @@ def train(
     """Teacher-forced joint training over a raw corpus.
 
     Examples are encoded once, negatives sampled once (seeded), and batches
-    reshuffled every epoch. When eval_corpus is given each epoch is scored
-    and the best-F1 parameter snapshot is kept alongside the final one.
+    reshuffled every epoch. When eval_corpus is given each epoch is scored,
+    its held-out loss recorded, and the best-F1 parameter snapshot kept
+    alongside the final one. The eval negatives come from their own Rng, so
+    training is the same with or without an eval corpus.
     """
     if vocab is None:
         vocab = build_vocab(corpus)
@@ -208,6 +226,12 @@ def train(
     examples = encode_corpus(corpus, vocab, schema, enc_cfg.max_seq_len)
     for ex in examples:
         sample_negatives(ex, config.negatives_per_positive, rng)
+    eval_examples = []
+    if eval_corpus is not None:
+        eval_examples = encode_corpus(eval_corpus, vocab, schema, enc_cfg.max_seq_len)
+        eval_rng = Rng(config.seed + 1)
+        for ex in eval_examples:
+            sample_negatives(ex, config.negatives_per_positive, eval_rng)
 
     state = OptimizerState()
     metrics: list[EpochMetrics] = []
@@ -249,7 +273,9 @@ def train(
             optimizer_s=phases[2],
         )
         if eval_corpus is not None:
-            report = _evaluate(params, config, vocab, schema, eval_corpus)
+            report, m.heldout_loss = _evaluate(
+                params, config, vocab, schema, eval_corpus, eval_examples
+            )
             m.precision, m.recall, m.f1 = report.precision, report.recall, report.f1
             if best_f1 is None or report.f1 > best_f1:
                 copies = {name: t.data.copy() for name, t in named}
@@ -266,6 +292,8 @@ def train(
             )
             if m.f1 is not None:
                 line += f"  P {m.precision:.3f} R {m.recall:.3f} F1 {m.f1:.3f}"
+            if m.heldout_loss is not None:
+                line += f"  heldout loss {m.heldout_loss:.4f}"
             log(line)
     return TrainResult(
         params=params,

@@ -6,25 +6,32 @@ spans_loop and objects_by_column are the per-start, per-relation decode that
 the one-pass decode_spans and decode_objects are checked against;
 subnormal_count counts float32 subnormals independently of the trainer;
 joint_loss_loop is the per-example cascade loss that the batched joint_loss
-is checked against; layer_norm_ref and softmax_ref are the forwards that
-layer_norm and softmax must equal bit for bit.
+is checked against, and MaskRecorder/MaskReplay hand both the same dropout
+masks; relation_logits_ref and extract_triples_per_subject are the relation
+head written unfactorized, (h + m_s)·W + b one span at a time;
+layer_norm_ref and softmax_ref are the forwards that layer_norm and softmax
+must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from coex.autograd import Tensor, _make, add, mul
-from coex.data import CLS_ID, SEP_ID
-from coex.encoder import encode
+from coex.autograd import Tensor, _make, add, dropout, matmul, mul
+from coex.data import CLS_ID, SEP_ID, _truncate, tokenize
+from coex.encoder import EncodedInput, encode
 from coex.tagger import (
     LossParts,
+    RelationObjectScores,
     RelationSchema,
     Span,
     Triple,
     condition_on_spans,
+    condition_on_subject,
     content_mask,
+    decode_objects,
     decode_spans,
+    decode_subject_spans,
     pointer_bce,
     relation_cell_weights,
     relation_object_scores,
@@ -107,10 +114,41 @@ def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
     return triples
 
 
+class MaskRecorder:
+    """An Rng stand-in that draws from rng and keeps every keep mask it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.masks = []
+
+    def keep_mask(self, shape, p, dtype):
+        self.masks.append(self.rng.keep_mask(shape, p, dtype))
+        return self.masks[-1]
+
+
+class MaskReplay:
+    """An Rng stand-in for a per-example forward: cuts each recorded batched
+    [B·width, d] mask into the example's first n rows, and hands them out
+    example by example, each example's sites in recorded order."""
+
+    def __init__(self, masks, lengths, width):
+        self._queue = [m[b * width : b * width + n] for b, n in enumerate(lengths) for m in masks]
+        self._queue.reverse()
+
+    def keep_mask(self, shape, p, dtype):
+        keep = self._queue.pop()
+        assert keep.shape == tuple(shape), (keep.shape, shape)
+        return keep
+
+    @property
+    def exhausted(self) -> bool:
+        return not self._queue
+
+
 def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=None) -> LossParts:
-    """joint_loss one example at a time: encode, subject head, conditioning and
-    relation head per example, each dropout drawing from rng as it runs, and
-    the per-example terms summed over the batch."""
+    """joint_loss one example at a time: encode, subject head, relation-input
+    dropout, conditioning and relation head per example, each dropout drawing
+    from rng as it runs, and the per-example terms summed over the batch."""
     r = params.num_relations
     subject_terms = []
     relation_terms = []
@@ -125,6 +163,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         s_labels = np.stack([ex.subject_start, ex.subject_end], axis=1).astype(dtype)
         subject_terms.append(pointer_bce(sc.logits, s_labels, w, 2 * n_unmasked))
 
+        h_rel = dropout(hidden, config.dropout_p, training, rng)
         spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
         if not spans:
             continue
@@ -132,8 +171,8 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         for i, sub in enumerate(ex.subjects):
             labels[i, :, :r] = sub.object_start
             labels[i, :, r:] = sub.object_end
-        conditioned = condition_on_spans(hidden, [spans], [n])
-        ro = relation_object_scores(conditioned, params, config.dropout_p, training, rng)
+        means = condition_on_spans(h_rel, [spans], [n])
+        ro = relation_object_scores(h_rel, means, [spans], [n], params)
         n_gold = len(ex.subjects)
         n_neg = len(ex.negative_spans)
         per_gold = 1.0 / (n_unmasked * 2 * r)
@@ -164,6 +203,48 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         subject=l_subject.item(),
         relation=l_relation.item(),
     )
+
+
+def relation_logits_ref(hidden: np.ndarray, spans, lengths, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relation logits packed as relation_object_scores packs them, each span
+    block computed unfactorized in float64: (h + m_s)·W + b over the example's rows."""
+    width = hidden.shape[0] // len(lengths)
+    h = hidden.astype(np.float64)
+    blocks = []
+    for i, (ss, n) in enumerate(zip(spans, lengths)):
+        rows = h[i * width : i * width + n]
+        for sp in ss:
+            blocks.append((rows + rows[sp.start : sp.end + 1].mean(axis=0)) @ w + b)
+    return np.concatenate(blocks)
+
+
+def extract_triples_per_subject(text, params, config, vocab, schema, threshold=0.5):
+    """extract_triples the unfactorized way: for each decoded subject in turn,
+    add its span mean to every hidden row, apply the relation head, decode.
+    Returns (triples, [per-subject relation scores])."""
+    tokens, offsets = _truncate(*tokenize(text), config.max_seq_len)
+    ids = vocab.encode(tokens)
+    x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
+    hidden = encode(x, params.encoder, config)
+    mask = content_mask(ids, x.input_mask, CLS_ID, SEP_ID)
+    subjects = decode_subject_spans(subject_scores(hidden, params), mask, threshold)
+    triples, seen, scores = [], set(), []
+    for s_span in sorted(subjects, key=lambda sp: (sp.start, sp.end)):
+        conditioned = condition_on_subject(hidden, s_span)
+        ro = RelationObjectScores(add(matmul(conditioned, params.relation_w), params.relation_b))
+        scores.append(ro.scores.data)
+        for rel, o_span in decode_objects(ro, mask, threshold):
+            t = Triple(
+                subject=text[offsets[s_span.start][0] : offsets[s_span.end][1]],
+                predicate=schema.predicates[rel],
+                object=text[offsets[o_span.start][0] : offsets[o_span.end][1]],
+                subject_span=s_span,
+                object_span=o_span,
+            )
+            if t.key() not in seen:
+                seen.add(t.key())
+                triples.append(t)
+    return triples, scores
 
 
 def layer_norm_ref(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:

@@ -37,7 +37,7 @@ from coex.runtime import create_server, export_model, infer, load_inference_mode
 from coex.tagger import (
     RelationSchema,
     Span,
-    condition_on_subject,
+    condition_on_spans,
     extract_triples,
     init_model_params,
     joint_loss,
@@ -240,7 +240,9 @@ def _scores_for(text: str, params, cfg, vocab):
     subj = subject_scores(hidden, params).scores.data
     start = int(np.argmax(subj[:, 0]))
     end = int(np.argmax(subj[start:, 1])) + start
-    rel = relation_object_scores(condition_on_subject(hidden, Span(start, end)), params)
+    spans, lengths = [[Span(start, end)]], [len(ids)]
+    means = condition_on_spans(hidden, spans, lengths)
+    rel = relation_object_scores(hidden, means, spans, lengths, params)
     return subj, rel.scores.data
 
 

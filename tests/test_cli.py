@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -102,6 +103,7 @@ def test_train_outputs(trained, capsys):
     assert all(r["f1"] is not None for r in rows)
     assert all(r["subnormal_weights"] == 0 and r["max_abs_weight"] > 0 for r in rows)
     assert all(r["forward_s"] > 0 and r["backward_s"] > 0 and r["optimizer_s"] > 0 for r in rows)
+    assert all(math.isfinite(r["heldout_loss"]) and r["heldout_loss"] > 0 for r in rows)
 
 
 def test_eval_reports_scores(trained, capsys):

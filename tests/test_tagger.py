@@ -185,9 +185,10 @@ def test_relation_scores_layout():
     cfg = small_config()
     r = 3
     params = init_model_params(cfg, num_relations=r, rng=Rng(2))
-    h = np.random.default_rng(2).normal(size=(4, cfg.model_dim)).astype(np.float32)
-    ro = relation_object_scores(Tensor(h), params)
-    assert ro.start.shape == (4, r) and ro.end.shape == (4, r)
+    h = Tensor(np.random.default_rng(2).normal(size=(4, cfg.model_dim)).astype(np.float32))
+    spans = [[Span(0, 1), Span(2, 2)]]
+    ro = relation_object_scores(h, condition_on_spans(h, spans, [4]), spans, [4], params)
+    assert ro.start.shape == (8, r) and ro.end.shape == (8, r)
     np.testing.assert_allclose(ro.start, ro.scores.data[:, :r])
     np.testing.assert_allclose(ro.end, ro.scores.data[:, r:])
 
@@ -206,18 +207,17 @@ def test_condition_on_spans_matches_per_span_loop():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(5, 3)).astype(np.float32)
     spans = [Span(1, 1), Span(0, 3), Span(2, 4)]
-    batched = condition_on_spans(Tensor(h), [spans], [5])
+    means = condition_on_spans(Tensor(h), [spans], [5])
     for i, sp in enumerate(spans):
         single = condition_on_subject(Tensor(h), sp)
-        np.testing.assert_allclose(batched.data[i * 5 : (i + 1) * 5], single.data, rtol=1e-5)
+        np.testing.assert_allclose(means.data[i], (single.data - h)[0], rtol=1e-5, atol=1e-7)
     # a padded batch of three: example 1 has no spans, example 2 is 3 rows
-    # long in a 5-row slot; blocks pack ragged, padding rows never appear
+    # long in a 5-row slot; one mean per span, example by example
     h3 = rng.normal(size=(15, 3)).astype(np.float32)
     spans3 = [[Span(0, 4), Span(2, 2)], [], [Span(1, 2)]]
     packed = condition_on_spans(Tensor(h3), spans3, [5, 4, 3])
-    want = [condition_on_subject(Tensor(h3[:5]), sp).data for sp in spans3[0]]
-    want.append(condition_on_subject(Tensor(h3[10:13]), spans3[2][0]).data)
-    np.testing.assert_allclose(packed.data, np.concatenate(want), rtol=1e-5)
+    want = [h3[0:5].mean(axis=0), h3[2], h3[11:13].mean(axis=0)]
+    np.testing.assert_allclose(packed.data, np.stack(want), rtol=1e-5)
     with pytest.raises(ValueError):
         condition_on_spans(Tensor(h3), [[Span(1, 3)], [], []], [3, 4, 5])
 
@@ -233,6 +233,50 @@ def test_condition_on_spans_gradient():
         return tsum(square(condition_on_spans(params[0], spans, [5, 3])))
 
     assert grad_check(f, [h], eps=1e-6) <= 1e-6
+
+
+def test_relation_head_matches_unfactorized_oracle():
+    from oracles import relation_logits_ref
+
+    cfg = small_config()
+    params = init_model_params(cfg, num_relations=3, rng=Rng(9))
+    rng = np.random.default_rng(9)
+    params.relation_b.data[:] = rng.normal(size=6)
+    h = Tensor(rng.normal(size=(15, cfg.model_dim)).astype(np.float32))
+    # padded B = 3: nested and overlapping spans, an example with none, and a
+    # 3-row example in a 5-row slot
+    spans = [[Span(0, 4), Span(1, 3), Span(2, 2), Span(2, 4)], [], [Span(0, 1), Span(1, 2)]]
+    lengths = [5, 4, 3]
+    ro = relation_object_scores(h, condition_on_spans(h, spans, lengths), spans, lengths, params)
+    want = relation_logits_ref(h.data, spans, lengths, params.relation_w.data, params.relation_b.data)
+    assert ro.logits.shape == want.shape == (4 * 5 + 2 * 3, 6)
+    assert np.abs(ro.logits.data - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_relation_head_gradient_check():
+    # as many spans as rows in each example, so a backward that swaps its
+    # span and token sums still runs, and must fail on its values
+    spans = [[Span(0, 2), Span(1, 1), Span(0, 1)], [Span(0, 1), Span(1, 1)]]
+    lengths = [3, 2]
+    rows = 3 * 3 + 2 * 2
+    errors = {}
+    for dtype, eps in ((np.float32, 1e-3), (np.float64, 1e-6)):
+        rng = Rng(31)
+        hidden = Tensor(rng.uniform(-1, 1, (6, 4), dtype=dtype), requires_grad=True)
+        head = SimpleNamespace(
+            relation_w=Tensor(rng.uniform(-0.5, 0.5, (4, 4), dtype=dtype), requires_grad=True),
+            relation_b=Tensor(rng.uniform(-0.5, 0.5, (4,), dtype=dtype), requires_grad=True),
+        )
+        labels = (rng.random((rows, 4)) < 0.3).astype(dtype)
+        weights = rng.uniform(0.5, 1.5, (rows, 1), dtype=dtype) / (rows * 4)  # loss near 1
+
+        def f(ps):
+            means = condition_on_spans(ps[0], spans, lengths)
+            ro = relation_object_scores(ps[0], means, spans, lengths, head)
+            return pointer_bce(ro.logits, labels, weights, 1.0)
+
+        errors[dtype] = grad_check(f, [hidden, head.relation_w, head.relation_b], eps=eps)
+    assert errors[np.float32] <= 1e-3 and errors[np.float64] <= 1e-6, errors
 
 
 def test_bce_mean_hand_value():
@@ -578,7 +622,7 @@ def _mixed_length_batch(negatives=61, seed=5):
 
 
 def test_batched_joint_loss_matches_per_example_loop():
-    from oracles import joint_loss_loop
+    from oracles import MaskRecorder, MaskReplay, joint_loss_loop
 
     batch, vocab, schema = _mixed_length_batch()
     lengths = [len(ex.input.input_ids) for ex in batch]
@@ -588,25 +632,35 @@ def test_batched_joint_loss_matches_per_example_loop():
     params = init_model_params(cfg, len(schema), Rng(21))
     named = params.named_tensors()
     wt = LossWeighting(60.0, 10.0, 10.0)
-    runs = {}
-    for name, loss_fn in (("batched", joint_loss), ("loop", joint_loss_loop)):
+
+    def run(loss_fn, rng, training):
         params.zero_grads()
-        rng = Rng(17)
-        parts = loss_fn(batch, params, cfg, rng, training=True, weighting=wt)
+        parts = loss_fn(batch, params, cfg, rng, training=training, weighting=wt)
         parts.total.backward()
-        grads = {n: t.grad.copy() for n, t in named}
-        runs[name] = (parts, grads, rng.random(4))
-    (a, ga, next_a), (b, gb, next_b) = runs["batched"], runs["loop"]
-    assert a.total.item() == pytest.approx(b.total.item(), rel=1e-5)
-    assert a.subject == pytest.approx(b.subject, rel=1e-5)
-    assert a.relation == pytest.approx(b.relation, rel=1e-5)
-    assert np.array_equal(next_a, next_b)
-    largest = max(float(np.abs(g).max()) for g in gb.values())
-    for n, _ in named:
-        # softmax is shift-invariant per query, so d/d b_k is exactly zero and
-        # both sides hold only rounding noise: judge it against the largest gradient
-        scale = largest if n.endswith(".b_k") else float(np.abs(gb[n]).max())
-        assert np.abs(ga[n] - gb[n]).max() <= 1e-4 * scale, n
+        return parts, {n: t.grad.copy() for n, t in named}
+
+    # dropout on: the loop replays, example by example, the rows of the masks
+    # the batched forward drew on its padded layout
+    recorder = MaskRecorder(Rng(17))
+    batched_on = run(joint_loss, recorder, True)
+    # embeddings, attention and FFN per layer, subject head, relation head
+    assert len(recorder.masks) == 2 + 2 * cfg.num_layers + 1
+    assert all(m.shape == (3 * lengths[1], cfg.model_dim) for m in recorder.masks)
+    replay = MaskReplay(recorder.masks, lengths, lengths[1])
+    loop_on = run(joint_loss_loop, replay, True)
+    assert replay.exhausted
+    off = (run(joint_loss, None, False), run(joint_loss_loop, None, False))
+    assert batched_on[0].total.item() != pytest.approx(off[0][0].total.item(), rel=1e-3)
+    for (a, ga), (b, gb) in (off, (batched_on, loop_on)):
+        assert a.total.item() == pytest.approx(b.total.item(), rel=1e-5)
+        assert a.subject == pytest.approx(b.subject, rel=1e-5)
+        assert a.relation == pytest.approx(b.relation, rel=1e-5)
+        largest = max(float(np.abs(g).max()) for g in gb.values())
+        for n, _ in named:
+            # softmax is shift-invariant per query, so d/d b_k is exactly zero and
+            # both sides hold only rounding noise: judge it against the largest gradient
+            scale = largest if n.endswith(".b_k") else float(np.abs(gb[n]).max())
+            assert np.abs(ga[n] - gb[n]).max() <= 1e-4 * scale, n
 
 
 def test_joint_loss_gradient_check_on_padded_batch():
@@ -709,3 +763,40 @@ def test_extract_triples_handles_overlong_text():
     assert max(ends) == cfg.max_seq_len - 2
     for t in triples:
         assert t.object == long_text[t.object_span.start - 1 : t.object_span.end]
+
+
+def test_extract_triples_all_subjects_in_one_call_matches_per_subject_oracle(monkeypatch):
+    import coex.tagger as tagger
+    from coex.trainer import TrainConfig, train
+    from oracles import extract_triples_per_subject
+
+    corpus = generate_synthetic_corpus(SynthConfig(n_sentences=600, overlap_fraction=0.3, seed=8))
+    config = TrainConfig(
+        # a 0.3 threshold finds more subjects and objects in a model this briefly trained
+        epochs=3, batch_size=8, negatives_per_positive=16, threshold=0.3,
+        encoder=EncoderConfig(vocab_size=0, model_dim=32, num_heads=2, ffn_dim=48,
+                              num_layers=1, max_seq_len=64, dropout_p=0.1),
+    )
+    result = train(config, corpus[:400], default_schema())
+    params, cfg = result.params.freeze(), result.config.encoder
+    blocks = []
+
+    def recording(scores, mask, threshold=0.5):
+        blocks.append(np.concatenate([scores.start, scores.end], axis=1))
+        return decode_objects(scores, mask, threshold)
+
+    monkeypatch.setattr(tagger, "decode_objects", recording)
+    found = multi = 0
+    args = (params, cfg, result.vocab, result.schema, config.threshold)
+    for raw in corpus[400:]:
+        blocks.clear()
+        got = extract_triples(raw.text, *args)
+        want, want_scores = extract_triples_per_subject(raw.text, *args)
+        assert got == want, raw.text
+        assert len(blocks) == len(want_scores)
+        for a, b in zip(blocks, want_scores):
+            assert np.abs(a - b).max() <= 1e-6
+        found += len(got)
+        multi += len(blocks) > 1
+    # the model must find triples, and some sentences must hold several subjects
+    assert found >= 100 and multi >= 5, (found, multi)

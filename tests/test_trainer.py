@@ -201,6 +201,28 @@ def test_best_snapshot_equals_live_params_and_survives_further_training():
     assert moved > 0
 
 
+def test_heldout_loss_is_finite_and_falls():
+    corpus = tiny_corpus(n=40)
+    schema = RelationSchema(tuple_predicates(corpus))
+    lines = []
+    result = train(small_config(epochs=4), corpus[:32], schema, eval_corpus=corpus[32:], log=lines.append)
+    losses = [m.heldout_loss for m in result.metrics]
+    assert all(np.isfinite(losses)) and losses[-1] < losses[0], losses
+    assert all(f"heldout loss {x:.4f}" in line for x, line in zip(losses, lines))
+    assert train(small_config(epochs=1), corpus[:32], schema).metrics[0].heldout_loss is None
+
+
+def test_checkpoint_is_byte_identical_with_and_without_eval_corpus(tmp_path):
+    corpus = tiny_corpus(n=30)
+    schema = RelationSchema(tuple_predicates(corpus))
+    blobs = []
+    for name, held in (("with", corpus[24:]), ("without", None)):
+        result = train(small_config(epochs=2), corpus[:24], schema, eval_corpus=held)
+        save_checkpoint(result.params, result.config, tmp_path / name)
+        blobs.append((tmp_path / name).read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_save_metrics_jsonl(tmp_path):
     rows = [
         EpochMetrics(1, 1.5, 1.0, 0.5, 2.0, 7, 0.75),
@@ -218,6 +240,7 @@ def test_save_metrics_jsonl(tmp_path):
     assert (first["subnormal_weights"], first["max_abs_weight"]) == (7, 0.75)
     assert (parsed["subnormal_weights"], parsed["max_abs_weight"]) == (0, 0.5)
     assert (first["forward_s"], first["backward_s"], first["optimizer_s"]) == (0.0, 0.0, 0.0)
+    assert first["heldout_loss"] is None
 
 
 def fresh_params(num_relations=4, vocab_size=50, seed=9):
