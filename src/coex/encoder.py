@@ -8,6 +8,10 @@ Every function takes a padded batch: input arrays of shape [B, L], hidden
 states as B·L rows of [B·L, d], example b on rows b·L .. b·L + L - 1. A single
 sentence is the batch B = 1, given as 1-D arrays of length n, and its hidden
 states are [n, d].
+
+An attention layer whose logits are provably at most 2⁻²⁷ builds its exactly
+uniform weights directly, in training and inference alike; in training its
+w_q, b_q, w_k and b_k then get no gradient (see _uniform_attention).
 """
 
 from __future__ import annotations
@@ -194,15 +198,21 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def _uniform_attention(q: Tensor, k: Tensor, mask: np.ndarray, heads: int, reach: float):
     """Attention weights [B, heads, L, L] when no float32 logit can move the
-    softmax off uniform and no gradient is needed, else None.
+    softmax off uniform, else None.
 
     |logit| <= reach · max|q| · max|k| with reach = head_dim · scale. Within
     2⁻²⁷, max-shifted logits lie in [-2⁻²⁶, 0], where float32 exp returns
     exactly 1: each unmasked key gets exactly 1/count, each masked key 0 (all
     keys 1/L when all are masked). NaN or inf fails the test. Contiguous
     weights keep att @ v on the same BLAS call as after a softmax.
+
+    The weights are a constant with or without gradients: q and k, and
+    through them w_q, b_q, w_k and b_k, get no gradient from this layer. The
+    dropped term is the softmax gradient (g - mean g) / count per row, which
+    reaches q only times scale · k and k only times scale · q, the two
+    factors whose product the bound keeps under 2⁻²⁷.
     """
-    if q.requires_grad or k.requires_grad or q.dtype != np.float32:
+    if q.dtype != np.float32:
         return None
     largest = reach * float(np.abs(q.data).max(initial=0.0)) * float(np.abs(k.data).max(initial=0.0))
     if not largest <= UNIFORM_LOGIT_BOUND:
@@ -221,9 +231,10 @@ def multi_head_attention(
     """Scaled dot-product attention per head; masked keys get weight exactly 0.
 
     x is [B·L, d] and mask [B, L] (or [n] for one sentence); each example
-    attends only within its own L rows. Without gradients, a layer whose
-    logits are provably too small to matter skips q @ k and the softmax
-    (see _uniform_attention); the result is bit-identical either way.
+    attends only within its own L rows. A layer whose logits are provably
+    too small to matter skips q @ k and the softmax (see _uniform_attention);
+    the forward is bit-identical either way, and in training the skipped
+    layer's q and k projections get no gradient.
     """
     if mask.ndim == 1:
         mask = mask[None]

@@ -507,12 +507,15 @@ def joint_loss(
             lab[i, :, r:] = sub.object_end
         # each gold span's block weighs as much as the example's subject
         # term; the negative spans share one such weight
+        g = len(ex.subjects)
         per_span = np.full((s, 1, 1), 1.0 / max(len(ex.negative_spans), 1), dtype=dtype)
-        per_span[: len(ex.subjects)] = 1.0
+        per_span[:g] = 1.0
         base = per_span * (w[b, :n, None] / (2 * r))
+        block = weights[pos : pos + s * n].reshape(s, n, 2 * r)
+        block[...] = base
         if weighting is not None:
-            base = relation_cell_weights(lab, base, weighting)
-        weights[pos : pos + s * n].reshape(s, n, 2 * r)[...] = base
+            # a negative block has no gold cell, so every boost there is 1
+            block[:g] = relation_cell_weights(lab[:g], base[:g], weighting)
         pos += s * n
     if len(labels):
         h = dropout(hidden, config.dropout_p, training, rng)

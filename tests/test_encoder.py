@@ -1,7 +1,17 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from coex.autograd import Rng, Tensor, grad_check, softmax, square, tensor, tsum
+from coex.data import (
+    SynthConfig,
+    build_vocab,
+    default_schema,
+    encode_corpus,
+    generate_synthetic_corpus,
+    sample_negatives,
+)
 from coex.encoder import (
     UNIFORM_LOGIT_BOUND,
     EncodedInput,
@@ -15,6 +25,7 @@ from coex.encoder import (
     multi_head_attention,
     pad_batch,
 )
+from coex.tagger import LossWeighting, init_model_params, joint_loss
 
 
 def small_config(**kw):
@@ -247,17 +258,31 @@ def _counting_softmax(monkeypatch):
     return calls
 
 
-def _grad_and_frozen_encode(x, params, cfg, calls):
-    """(grad-mode hidden, no-grad hidden, softmax calls of the no-grad pass)
-    from the same weights; leaves params frozen."""
-    with_grad = encode(x, params, cfg)
-    assert with_grad.requires_grad
+@contextmanager
+def _full_path(monkeypatch):
+    """Inside, attention never takes the uniform-attention skip."""
+    import coex.encoder as encoder_module
+
+    with monkeypatch.context() as m:
+        m.setattr(encoder_module, "_uniform_attention", lambda *args: None)
+        yield
+
+
+def _full_and_frozen_encode(x, params, cfg, calls, monkeypatch):
+    """(full-path hidden, no-grad hidden, softmax calls of the no-grad pass)
+    from the same weights; the full path runs in grad mode with the skip
+    switched off. Leaves params frozen."""
+    with _full_path(monkeypatch):
+        calls.clear()
+        full = encode(x, params, cfg)
+        assert full.requires_grad
+        assert len(calls) == cfg.num_layers
     for _, p in _named(params):
         p.requires_grad = False
     calls.clear()
     frozen = encode(x, params, cfg)
     assert not frozen.requires_grad
-    return with_grad.data, frozen.data, len(calls)
+    return full.data, frozen.data, len(calls)
 
 
 def _scale_attention(layer, s: float):
@@ -269,9 +294,11 @@ def test_no_grad_encode_is_bit_identical_without_skip(monkeypatch):
     calls = _counting_softmax(monkeypatch)
     cfg = _attention_config()
     params = init_encoder_params(cfg, Rng(21))
-    grad, frozen, softmaxes = _grad_and_frozen_encode(make_input([2, 7, 11, 4, 9, 3]), params, cfg, calls)
+    full, frozen, softmaxes = _full_and_frozen_encode(
+        make_input([2, 7, 11, 4, 9, 3]), params, cfg, calls, monkeypatch
+    )
     assert softmaxes == cfg.num_layers  # random-init logits are far above the bound
-    assert np.array_equal(grad, frozen)
+    assert np.array_equal(full, frozen)
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1e-3, 1e-2])
@@ -280,12 +307,12 @@ def test_no_grad_encode_is_bit_identical_with_tiny_attention(monkeypatch, scale)
     cfg = _attention_config()
     params = init_encoder_params(cfg, Rng(22))
     _scale_attention(params.layers[1], scale)
-    grad, frozen, softmaxes = _grad_and_frozen_encode(
-        make_input([2, 5, 17, 8, 23, 1, 12, 3]), params, cfg, calls
+    full, frozen, softmaxes = _full_and_frozen_encode(
+        make_input([2, 5, 17, 8, 23, 1, 12, 3]), params, cfg, calls, monkeypatch
     )
     if scale == 1e-20:
         assert softmaxes == cfg.num_layers - 1  # layer 1 skipped q @ k and softmax
-    assert np.array_equal(grad, frozen)
+    assert np.array_equal(full, frozen)
 
 
 def test_uniform_attention_skip_is_exact_at_its_bound(monkeypatch):
@@ -300,9 +327,9 @@ def test_uniform_attention_skip_is_exact_at_its_bound(monkeypatch):
     hd = cfg.head_dim
     reach = hd / np.sqrt(hd) * np.abs(h @ layer.w_q.data).max() * np.abs(h @ layer.w_k.data).max()
     _scale_attention(layer, 0.99 * np.sqrt(UNIFORM_LOGIT_BOUND / reach))
-    grad, frozen, softmaxes = _grad_and_frozen_encode(x, params, cfg, calls)
+    full, frozen, softmaxes = _full_and_frozen_encode(x, params, cfg, calls, monkeypatch)
     assert softmaxes == cfg.num_layers - 1
-    assert np.array_equal(grad, frozen)
+    assert np.array_equal(full, frozen)
 
 
 def test_no_grad_encode_is_bit_identical_on_padded_batch(monkeypatch):
@@ -317,9 +344,9 @@ def test_no_grad_encode_is_bit_identical_on_padded_batch(monkeypatch):
     ]
     x = pad_batch(sentences)
     assert not x.input_mask.all()
-    grad, frozen, softmaxes = _grad_and_frozen_encode(x, params, cfg, calls)
+    full, frozen, softmaxes = _full_and_frozen_encode(x, params, cfg, calls, monkeypatch)
     assert softmaxes == cfg.num_layers - 1
-    assert np.array_equal(grad, frozen)
+    assert np.array_equal(full, frozen)
 
 
 def test_exp_is_exactly_one_on_the_skip_range():
@@ -329,3 +356,92 @@ def test_exp_is_exactly_one_on_the_skip_range():
     assert x[0] == -(2.0**-25) and x[-1] == 0.0
     assert np.all(np.exp(x) == 1.0)
     assert np.all(np.exp(x[::-7]) == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# training takes the same skip; it drops only the q/k gradient of that layer
+
+
+def _training_batch():
+    corpus = generate_synthetic_corpus(SynthConfig(n_sentences=6, overlap_fraction=0.3, seed=3))
+    vocab = build_vocab(corpus)
+    schema = default_schema()
+    batch = encode_corpus(corpus, vocab, schema, 64)
+    rng = Rng(4)
+    for ex in batch:
+        sample_negatives(ex, 9, rng)
+    cfg = small_config(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=64,
+                       max_seq_len=64, dropout_p=0.1)
+    return batch, cfg, len(schema)
+
+
+def _train_step_grads(batch, params, cfg):
+    """(loss, leaf gradients by name) of one training-mode joint_loss with a
+    fixed dropout stream, after backward."""
+    params.zero_grads()
+    parts = joint_loss(batch, params, cfg, Rng(17), training=True,
+                       weighting=LossWeighting(60.0, 10.0, 10.0))
+    parts.total.backward()
+    return parts.total.data, {n: t.grad for n, t in params.named_tensors()}
+
+
+def _layer1_logit_bound(batch, params, cfg, monkeypatch) -> float:
+    """reach · max|q| · max|k| of layer 1 in the training forward."""
+    import coex.encoder as encoder_module
+
+    seen = []
+
+    def record(q, k, mask, heads, reach):
+        seen.append(reach * float(np.abs(q.data).max()) * float(np.abs(k.data).max()))
+
+    with monkeypatch.context() as m:
+        m.setattr(encoder_module, "_uniform_attention", record)
+        joint_loss(batch, params, cfg, Rng(17), training=True)
+    assert len(seen) == cfg.num_layers
+    return seen[1]
+
+
+QK_GRADS = ("w_q", "b_q", "w_k", "b_k")
+
+
+@pytest.mark.parametrize("where", ["1e-20", "at_bound"])
+def test_training_skip_loss_is_exact_and_drops_only_layer_qk_grads(monkeypatch, where):
+    calls = _counting_softmax(monkeypatch)
+    batch, cfg, relations = _training_batch()
+    params = init_model_params(cfg, relations, Rng(31))
+    layer = params.encoder.layers[1]
+    if where == "1e-20":
+        _scale_attention(layer, 1e-20)
+    else:
+        # q and k are linear in w_q and w_k (zero biases at init), and layer
+        # 1's input does not depend on them: land just under the bound
+        bound = _layer1_logit_bound(batch, params, cfg, monkeypatch)
+        _scale_attention(layer, 0.99 * np.sqrt(UNIFORM_LOGIT_BOUND / bound))
+        bound = _layer1_logit_bound(batch, params, cfg, monkeypatch)
+        assert 0.9 * UNIFORM_LOGIT_BOUND < bound <= UNIFORM_LOGIT_BOUND
+    with _full_path(monkeypatch):
+        calls.clear()
+        full_loss, full = _train_step_grads(batch, params, cfg)
+        assert len(calls) == cfg.num_layers
+    calls.clear()
+    skip_loss, skip = _train_step_grads(batch, params, cfg)
+    assert len(calls) == cfg.num_layers - 1  # layer 1 skipped q @ k and softmax
+    assert np.array_equal(skip_loss, full_loss)
+    for name, g in skip.items():
+        if name in {f"layer1.{f}" for f in QK_GRADS}:
+            assert g is None, name
+            continue
+        largest = float(np.abs(full[name]).max())
+        assert np.abs(g - full[name]).max() <= 1e-6 * largest, name
+
+
+def test_training_at_random_init_runs_every_softmax(monkeypatch):
+    calls = _counting_softmax(monkeypatch)
+    batch, cfg, relations = _training_batch()
+    params = init_model_params(cfg, relations, Rng(31))
+    _train_step_grads(batch, params, cfg)
+    assert len(calls) == cfg.num_layers
+    for layer in params.encoder.layers:
+        for f in QK_GRADS[:3]:  # softmax is shift-invariant: d/d b_k is rounding noise
+            g = getattr(layer, f).grad
+            assert g is not None and np.abs(g).max() > 0, f

@@ -576,6 +576,53 @@ def test_joint_loss_neutral_weighting_matches_unweighted():
     assert a.total.item() == b.total.item()
 
 
+@pytest.mark.parametrize(
+    "weighting", [LossWeighting(), LossWeighting(60.0, 10.0, 10.0)], ids=["neutral", "boosted"]
+)
+def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch, weighting):
+    # joint_loss boosts only the gold span blocks; the oracle runs every
+    # block, negatives included, through relation_cell_weights
+    import coex.tagger as tagger_module
+
+    batch, vocab, schema = _mixed_length_batch()
+    assert all(ex.subjects and ex.negative_spans for ex in batch)
+    cfg = small_config(vocab_size=len(vocab), max_seq_len=64)
+    params = init_model_params(cfg, len(schema), Rng(13))
+    seen = []
+    real = tagger_module.pointer_bce
+
+    def recording(logits, labels, weights, divisor):
+        seen.append((labels, weights))
+        return real(logits, labels, weights, divisor)
+
+    monkeypatch.setattr(tagger_module, "pointer_bce", recording)
+    joint_loss(batch, params, cfg, None, training=False, weighting=weighting)
+    labels, weights = seen[1]  # the relation head's call
+
+    r2 = 2 * len(schema)
+    lengths = [len(ex.input.input_ids) for ex in batch]
+    mask = np.zeros((len(batch), max(lengths)), dtype=weights.dtype)
+    for b, n in enumerate(lengths):
+        mask[b, :n] = batch[b].input.input_mask
+    w = mask / (mask.sum(axis=1, keepdims=True) * len(batch))
+    pos = 0
+    for b, ex in enumerate(batch):
+        n, g = lengths[b], len(ex.subjects)
+        s = g + len(ex.negative_spans)
+        per_span = np.full((s, 1, 1), 1.0 / len(ex.negative_spans), dtype=weights.dtype)
+        per_span[:g] = 1.0
+        base = per_span * (w[b, :n, None] / r2)
+        lab = labels[pos : pos + s * n].reshape(s, n, r2)
+        assert lab[:g].any() and not lab[g:].any()
+        full = relation_cell_weights(lab, base, weighting)
+        packed = weights[pos : pos + s * n].reshape(s, n, r2)
+        assert np.array_equal(packed, full)
+        boosted = not np.array_equal(packed[:g], np.broadcast_to(base[:g], (g, n, r2)))
+        assert boosted != weighting.neutral
+        pos += s * n
+    assert pos == len(weights)
+
+
 def test_joint_loss_requires_matching_label_lengths():
     batch, cfg, _, schema = _toy_batch()
     params = init_model_params(cfg, len(schema), Rng(9))
