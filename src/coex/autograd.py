@@ -252,10 +252,22 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), back)
 
 
+def _sigmoid_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigmoid(z), e = exp(-|z|)), new arrays of z's dtype. e never overflows.
+
+    sigmoid = max(e, z >= 0) / (1 + e): the max is 1 for z >= 0, where e <= 1,
+    and e for z < 0, so this is 1/(1+e) or e/(1+e) by sign, without a branch.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, z >= 0)
+    s /= e + 1.0
+    return s, e
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # exp(-|x|) never overflows; saturated negatives land on subnormals, not NaN
-    z = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(a.dtype, copy=False)
+    out = _sigmoid_exp(a.data)[0]
 
     def back(g):
         return (g * out * (1.0 - out),)

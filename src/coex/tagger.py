@@ -30,6 +30,7 @@ from .autograd import (
     sigmoid,
     square,
     _make,
+    _sigmoid_exp,
 )
 from .encoder import (
     EncodedInput,
@@ -212,7 +213,7 @@ def relation_object_scores(
     tokens = matmul(hidden, params.relation_w)
     per_span = matmul(means, params.relation_w)
     return RelationObjectScores(
-        add(_pack_span_blocks(tokens, per_span, spans, lengths), params.relation_b)
+        _pack_span_blocks(tokens, per_span, params.relation_b, spans, lengths)
     )
 
 
@@ -314,12 +315,13 @@ def condition_on_spans(
 
 
 def _pack_span_blocks(
-    tokens: Tensor, per_span: Tensor, spans: list[list[Span]], lengths: list[int]
+    tokens: Tensor, per_span: Tensor, bias: Tensor, spans: list[list[Span]], lengths: list[int]
 ) -> Tensor:
     """Per example b and each of its spans s, the block tokens[rows of b] +
-    per_span[s], packed into [sum of len(spans[b]) * lengths[b], C]. Backward
-    sums each block over its spans for the token rows, and over its tokens
-    for the span rows."""
+    per_span[s], packed into [sum of len(spans[b]) * lengths[b], C], with bias
+    added to every row in place. Backward sums each block over its spans for
+    the token rows and over its tokens for the span rows, and sums every row
+    for the bias."""
     t, s = tokens.data, per_span.data
     c = t.shape[1]
     # (first token row, length, first span row, span count, first packed row)
@@ -330,6 +332,7 @@ def _pack_span_blocks(
     out = np.empty((pos, c), dtype=t.dtype)
     for first, n, lo, k, at in blocks:
         np.add(t[None, first : first + n], s[lo : lo + k, None], out=out[at : at + k * n].reshape(k, n, c))
+    out += bias.data
 
     def back(g):
         gt, gs = np.zeros_like(t), np.zeros_like(s)
@@ -337,13 +340,18 @@ def _pack_span_blocks(
             g3 = g[at : at + k * n].reshape(k, n, c)
             gt[first : first + n] = g3.sum(axis=0)
             gs[lo : lo + k] = g3.sum(axis=1)
-        return gt, gs
+        return gt, gs, g.sum(axis=0)
 
-    return _make(out, (tokens, per_span), back)
+    return _make(out, (tokens, per_span, bias), back)
 
 
 def pointer_bce(
-    logits: Tensor, labels: np.ndarray, weights: np.ndarray, divisor: float
+    logits: Tensor,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    divisor: float,
+    rows: np.ndarray | None = None,
+    row_weights: np.ndarray | None = None,
 ) -> Tensor:
     """Weighted sum of squared-sigmoid BCE terms over divisor, fused with the logits.
 
@@ -352,25 +360,53 @@ def pointer_bce(
     divisor = 1.0 the caller encodes per-group normalizers in the weights.
     Fusion keeps it exact under float32 saturation: the per-entry gradient is
     the bounded closed form -2y(1-s) + (1-y)*2s^2/(1+s) with s = sigmoid(logit).
+
+    labels and weights (broadcast to labels) cover every row of logits, or,
+    when rows is given, only logits[rows]. Every other row is all label 0 and
+    weighs row_weights [P, 1]; it pays only for the label-0 term, and the full
+    two-label form runs on the given rows alone, whose results overwrite the
+    same cells. Loss and gradient equal, bit for bit, the dense call with
+    those rows' labels and weights filled in, for any finite logits.
     """
     if divisor <= 0.0:
         raise ValueError(f"pointer_bce: divisor must be positive, got {divisor}")
+    if (rows is None) != (row_weights is None):
+        raise ValueError("pointer_bce: rows and row_weights go together")
     z = logits.data
+    given = slice(None) if rows is None else rows
+    zg = z[given]
     labels = np.asarray(labels, dtype=z.dtype)
-    weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), z.shape)
-    e = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(z.dtype, copy=False)
+    if labels.shape != zg.shape:
+        raise ValueError(f"pointer_bce: labels {labels.shape} for logit rows {zg.shape}")
+    weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), labels.shape)
+    sig, soft = _sigmoid_exp(z)
     # softplus(x) = log1p(exp(-|x|)) + max(x, 0), and |-z| = |z|:
     # -log(s^2) = 2*softplus(-z); -log(1-s^2) = softplus(z) - log1p(s)
-    soft = np.log1p(e)
-    per = labels * 2.0 * (soft + np.maximum(-z, 0.0)) + (1.0 - labels) * (
-        soft + np.maximum(z, 0.0) - np.log1p(sig)
-    )
-    out = np.asarray((per * weights).sum() / divisor, dtype=z.dtype)
+    np.log1p(soft, out=soft)
+    label1 = soft[given] + np.maximum(-zg, 0.0)
+    per = np.maximum(z, 0.0)
+    per += soft
+    per -= np.log1p(sig, out=soft)
+    per_g = labels * 2.0 * label1 + (1.0 - labels) * per[given]
+    per_g *= weights
+    if row_weights is not None:
+        per *= row_weights
+    per[given] = per_g
+    out = np.asarray(per.sum() / divisor, dtype=z.dtype)
 
     def back(g):
-        dz = -2.0 * labels * (1.0 - sig) + (1.0 - labels) * 2.0 * sig * sig / (1.0 + sig)
-        return (g * weights * dz / divisor,)
+        # the label-0 form 2s^2/(1+s) everywhere, then the two-label form on the given rows
+        dz = sig * 2.0
+        dz *= sig
+        dz /= sig + 1.0
+        if row_weights is not None:
+            dz *= g * row_weights
+            if divisor != 1.0:
+                dz /= divisor
+        sg = sig[given]
+        dz_g = -2.0 * labels * (1.0 - sg) + (1.0 - labels) * 2.0 * sg * sg / (1.0 + sg)
+        dz[given] = g * weights * dz_g / divisor
+        return (dz,)
 
     return _make(out, (logits,), back)
 
@@ -462,7 +498,10 @@ def joint_loss(
     head, every conditioning span packed into one relation-head call, and one
     pointer_bce per head. Each dropout site draws one keep mask on the padded
     [B·L, d] rows, straight from rng. The relation head's input rows share one
-    mask, and each span mean averages those dropped rows.
+    mask, and each span mean averages those dropped rows. The relation
+    pointer_bce gets one weight per packed row, and labels and cell weights
+    for the gold span blocks' rows only, so no dense [Σ s·n, 2R] label or
+    weight array is built.
     """
     if not batch:
         raise ValueError("joint_loss: empty batch")
@@ -495,33 +534,37 @@ def joint_loss(
     )
 
     # relation rows packed as relation_object_scores packs them: per example,
-    # one block of its n rows per span, gold spans first
-    labels = np.zeros((sum(len(ss) * n for ss, n in zip(spans, lengths)), 2 * r), dtype=dtype)
+    # one block of its n rows per span, gold spans first. Every row weighs its
+    # block's base weight; only the gold blocks get labels and cell weights,
+    # because a negative block's labels are all 0 and its boosts all 1.
+    row_weights = np.empty((sum(len(ss) * n for ss, n in zip(spans, lengths)), 1), dtype=dtype)
+    n_gold = sum(len(ex.subjects) * n for ex, n in zip(batch, lengths))
+    labels = np.empty((n_gold, 2 * r), dtype=dtype)
     weights = np.empty_like(labels)
-    pos = 0
+    rows = np.empty(n_gold, dtype=np.intp)
+    pos = at = 0
     for b, ex in enumerate(batch):
-        n, s = lengths[b], len(spans[b])
-        lab = labels[pos : pos + s * n].reshape(s, n, 2 * r)
-        for i, sub in enumerate(ex.subjects):
-            lab[i, :, :r] = sub.object_start
-            lab[i, :, r:] = sub.object_end
+        n, s, g = lengths[b], len(spans[b]), len(ex.subjects)
         # each gold span's block weighs as much as the example's subject
         # term; the negative spans share one such weight
-        g = len(ex.subjects)
         per_span = np.full((s, 1, 1), 1.0 / max(len(ex.negative_spans), 1), dtype=dtype)
         per_span[:g] = 1.0
         base = per_span * (w[b, :n, None] / (2 * r))
-        block = weights[pos : pos + s * n].reshape(s, n, 2 * r)
-        block[...] = base
-        if weighting is not None:
-            # a negative block has no gold cell, so every boost there is 1
-            block[:g] = relation_cell_weights(lab[:g], base[:g], weighting)
+        row_weights[pos : pos + s * n] = base.reshape(s * n, 1)
+        lab = labels[at : at + g * n].reshape(g, n, 2 * r)
+        for i, sub in enumerate(ex.subjects):
+            lab[i, :, :r] = sub.object_start
+            lab[i, :, r:] = sub.object_end
+        cells = weights[at : at + g * n].reshape(g, n, 2 * r)
+        cells[...] = base[:g] if weighting is None else relation_cell_weights(lab, base[:g], weighting)
+        rows[at : at + g * n] = np.arange(pos, pos + g * n)
         pos += s * n
-    if len(labels):
+        at += g * n
+    if pos:
         h = dropout(hidden, config.dropout_p, training, rng)
         means = condition_on_spans(h, spans, lengths)
         ro = relation_object_scores(h, means, spans, lengths, params)
-        l_relation = pointer_bce(ro.logits, labels, weights, 1.0)
+        l_relation = pointer_bce(ro.logits, labels, weights, 1.0, rows, row_weights)
     else:
         l_relation = Tensor(np.asarray(0.0, dtype=dtype))
     return LossParts(

@@ -111,17 +111,23 @@ def adagrad_step(
 ):
     """Accumulate squared gradients and update; weight decay couples into the
     gradient before accumulation (g' = g + wd * w). Updated weights are
-    flushed: none is left subnormal."""
+    flushed: none is left subnormal. A missing gradient counts as zero; p.grad
+    is left as it was, and each tensor's step runs in two scratch buffers."""
     for name, p in named_params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if weight_decay:
-            g = g + weight_decay * p.data
         acc = state.accumulators.get(name)
         if acc is None:
             acc = np.zeros_like(p.data)
             state.accumulators[name] = acc
-        acc += g * g
-        p.data -= (lr * g / (np.sqrt(acc) + eps)).astype(p.data.dtype, copy=False)
+        g = np.multiply(p.data, weight_decay) if weight_decay else np.zeros_like(p.data)
+        if p.grad is not None:
+            g += p.grad
+        tmp = np.multiply(g, g)
+        acc += tmp
+        np.sqrt(acc, out=tmp)
+        tmp += eps
+        g *= lr
+        g /= tmp
+        p.data -= g
         flush_subnormals(p.data)
 
 

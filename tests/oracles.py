@@ -10,7 +10,10 @@ is checked against, and MaskRecorder/MaskReplay hand both the same dropout
 masks; relation_logits_ref and extract_triples_per_subject are the relation
 head written unfactorized, (h + m_s)·W + b one span at a time;
 layer_norm_ref and softmax_ref are the forwards that layer_norm and softmax
-must equal bit for bit.
+must equal bit for bit; sigmoid_where, pointer_bce_dense and adagrad_step_ref
+are the sign-selected sigmoid, the dense pointer BCE and the out-of-place
+Adagrad step that the sigmoid helper, pointer_bce and adagrad_step must equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -259,3 +262,46 @@ def softmax_ref(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """softmax's forward written with ndarray.max and ndarray.sum."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def sigmoid_where(z: np.ndarray) -> np.ndarray:
+    """The sigmoid selected by the sign of z: 1/(1+e) or e/(1+e), e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(z.dtype, copy=False)
+
+
+def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray, divisor: float) -> Tensor:
+    """pointer_bce with every cell's label and weight given: both label terms
+    evaluated on every cell, out of place."""
+    z = logits.data
+    labels = np.asarray(labels, dtype=z.dtype)
+    weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), z.shape)
+    e = np.exp(-np.abs(z))
+    sig = sigmoid_where(z)
+    soft = np.log1p(e)
+    per = labels * 2.0 * (soft + np.maximum(-z, 0.0)) + (1.0 - labels) * (
+        soft + np.maximum(z, 0.0) - np.log1p(sig)
+    )
+    out = np.asarray((per * weights).sum() / divisor, dtype=z.dtype)
+
+    def back(g):
+        dz = -2.0 * labels * (1.0 - sig) + (1.0 - labels) * 2.0 * sig * sig / (1.0 + sig)
+        return (g * weights * dz / divisor,)
+
+    return _make(out, (logits,), back)
+
+
+def adagrad_step_ref(named_params, state, lr: float, weight_decay: float, eps: float = 1e-10):
+    """adagrad_step out of place: g' = g + wd * w, acc += g'^2,
+    w -= lr * g' / (sqrt(acc) + eps), then the subnormal flush."""
+    for name, p in named_params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if weight_decay:
+            g = g + weight_decay * p.data
+        acc = state.accumulators.get(name)
+        if acc is None:
+            acc = np.zeros_like(p.data)
+            state.accumulators[name] = acc
+        acc += g * g
+        p.data -= (lr * g / (np.sqrt(acc) + eps)).astype(p.data.dtype, copy=False)
+        p.data[np.abs(p.data) < np.finfo(p.data.dtype).tiny] = 0

@@ -20,8 +20,9 @@ from coex.autograd import (
     tensor,
     transpose,
     tsum,
+    _sigmoid_exp,
 )
-from oracles import layer_norm_ref, softmax_ref
+from oracles import layer_norm_ref, sigmoid_where, softmax_ref
 
 
 def test_matmul_known_product():
@@ -117,6 +118,21 @@ def test_sigmoid_matches_tanh_identity():
         s = sigmoid(tensor(x)).data
         ref = 0.5 * (1.0 + np.tanh(x.astype(np.float64) / 2.0))
         np.testing.assert_allclose(s, ref, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_sigmoid_helper_equals_sign_selected_form_bit_for_bit(dtype, bits):
+    tiny = np.finfo(dtype).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 50.0, -50.0, 89.0, -89.0,
+               tiny / 4, -tiny / 4, tiny / 2**20, -tiny / 2**20, 800.0, -800.0]
+    wide = np.random.default_rng(9).normal(scale=30.0, size=4000)
+    z = np.concatenate([special, wide]).astype(dtype)
+    s, e = _sigmoid_exp(z)
+    assert s.dtype == e.dtype == dtype
+    want = sigmoid_where(z)
+    assert np.array_equal(s.view(bits), want.view(bits))
+    assert np.array_equal(e.view(bits), np.exp(-np.abs(z)).view(bits))
+    assert np.array_equal(sigmoid(Tensor(z)).data.view(bits), want.view(bits))
 
 
 def test_layer_norm_reference_vector():

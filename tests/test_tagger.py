@@ -576,28 +576,91 @@ def test_joint_loss_neutral_weighting_matches_unweighted():
     assert a.total.item() == b.total.item()
 
 
+def _record_pointer_bce(monkeypatch) -> list[tuple]:
+    """Patch joint_loss's pointer_bce to record each call's arguments."""
+    import coex.tagger as tagger_module
+
+    calls = []
+    real = tagger_module.pointer_bce
+
+    def recording(logits, labels, weights, divisor, rows=None, row_weights=None):
+        calls.append((logits, labels, weights, divisor, rows, row_weights))
+        return real(logits, labels, weights, divisor, rows, row_weights)
+
+    monkeypatch.setattr(tagger_module, "pointer_bce", recording)
+    return calls
+
+
+def _dense_relation_arguments(logits, labels, weights, divisor, rows, row_weights):
+    """The [P, C] labels and cell weights a pointer_bce call with gold rows
+    stands for: its row weights everywhere, its labels and weights on rows."""
+    dense_labels = np.zeros(logits.shape, dtype=labels.dtype)
+    dense_labels[rows] = labels
+    dense_weights = np.broadcast_to(row_weights, logits.shape).copy()
+    dense_weights[rows] = weights
+    return dense_labels, dense_weights
+
+
+@pytest.mark.parametrize(
+    "weighting", [LossWeighting(), LossWeighting(60.0, 10.0, 10.0)], ids=["neutral", "boosted"]
+)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pointer_bce_gold_rows_equal_dense_oracle(monkeypatch, weighting, dtype):
+    # both joint_loss calls, on a padded batch with gold and negative spans and
+    # one example without a gold subject, against the dense two-label form
+    from oracles import pointer_bce_dense
+
+    batch, vocab, schema = _mixed_length_batch()
+    bare = encode_corpus([RawExample("乙丙甲乙丙", [])], vocab, schema, 128)[0]
+    sample_negatives(bare, 7, Rng(3))
+    batch = [batch[0], bare, batch[1]]
+    assert not bare.subjects and bare.negative_spans
+    cfg = small_config(vocab_size=len(vocab), max_seq_len=64)
+    params = init_model_params(cfg, len(schema), Rng(13), dtype=dtype)
+    calls = _record_pointer_bce(monkeypatch)
+    joint_loss(batch, params, cfg, None, training=False, weighting=weighting)
+    subject, relation = calls
+    assert subject[4] is None and relation[4] is not None
+    assert 0 < len(relation[4]) < len(relation[0].data)
+    dense = {
+        "subject": subject[1:4],
+        "relation": (*_dense_relation_arguments(*relation), relation[3]),
+    }
+    # the model's logits, then wide ones of both signs that saturate
+    # the float32 sigmoid and make exp(-|z|) subnormal
+    rng = Rng(5)
+    for name, (logits, *call) in (("subject", subject), ("relation", relation)):
+        wide = rng.uniform(-1.0, 1.0, logits.shape, dtype=dtype) ** 3 * 120.0
+        for z in (logits.data, wide):
+            for divisor, scale in ((call[2], 1.0), (3.0, 0.37)):
+                zs = Tensor(z.copy(), requires_grad=True)
+                zd = Tensor(z.copy(), requires_grad=True)
+                got = pointer_bce(zs, call[0], call[1], divisor, *call[3:])
+                want = pointer_bce_dense(zd, dense[name][0], dense[name][1], divisor)
+                (got * scale).backward()
+                (want * scale).backward()
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got.data, want.data), name
+                assert np.array_equal(zs.grad, zd.grad), name
+    with pytest.raises(ValueError):
+        pointer_bce(relation[0], *relation[1:5])
+    with pytest.raises(ValueError):
+        pointer_bce(relation[0], relation[1][1:], *relation[2:])
+
+
 @pytest.mark.parametrize(
     "weighting", [LossWeighting(), LossWeighting(60.0, 10.0, 10.0)], ids=["neutral", "boosted"]
 )
 def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch, weighting):
     # joint_loss boosts only the gold span blocks; the oracle runs every
     # block, negatives included, through relation_cell_weights
-    import coex.tagger as tagger_module
-
     batch, vocab, schema = _mixed_length_batch()
     assert all(ex.subjects and ex.negative_spans for ex in batch)
     cfg = small_config(vocab_size=len(vocab), max_seq_len=64)
     params = init_model_params(cfg, len(schema), Rng(13))
-    seen = []
-    real = tagger_module.pointer_bce
-
-    def recording(logits, labels, weights, divisor):
-        seen.append((labels, weights))
-        return real(logits, labels, weights, divisor)
-
-    monkeypatch.setattr(tagger_module, "pointer_bce", recording)
+    calls = _record_pointer_bce(monkeypatch)
     joint_loss(batch, params, cfg, None, training=False, weighting=weighting)
-    labels, weights = seen[1]  # the relation head's call
+    labels, weights = _dense_relation_arguments(*calls[1])  # the relation head's call
 
     r2 = 2 * len(schema)
     lengths = [len(ex.input.input_ids) for ex in batch]

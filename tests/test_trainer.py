@@ -23,7 +23,7 @@ from coex.trainer import (
     save_metrics,
     train,
 )
-from oracles import subnormal_count
+from oracles import adagrad_step_ref, subnormal_count
 
 SMALL_ENCODER = dict(
     model_dim=32, num_heads=2, ffn_dim=64, num_layers=1, max_seq_len=64, dropout_p=0.1
@@ -91,6 +91,38 @@ def test_adagrad_step_matches_reference():
         ref_w = ref_w - lr * gp / (np.sqrt(ref_acc) + eps)
         assert np.allclose(p.data, ref_w, atol=1e-12)
         assert np.allclose(state.accumulators["w"], ref_acc, atol=1e-12)
+
+
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+@pytest.mark.parametrize("with_grad", [True, False], ids=["grad", "no_grad"])
+def test_adagrad_step_in_place_equals_out_of_place_reference(weight_decay, with_grad):
+    # float32 as in training; two weights start subnormal and two at signed
+    # zero, all four with zero gradient: without decay nothing moves them,
+    # and the flush must leave them +0
+    tiny = np.finfo(np.float32).tiny
+    rng = Rng(4)
+    w0 = rng.uniform(-1.0, 1.0, (5, 7), dtype=np.float32)
+    w0[0, :4] = [tiny / 4, -tiny / 4, 0.0, -0.0]
+    p = Tensor(w0.copy(), requires_grad=True)
+    q = Tensor(w0.copy(), requires_grad=True)
+    state, ref_state = OptimizerState(), OptimizerState()
+    for step in range(4):
+        g = rng.uniform(-1.0, 1.0, (5, 7), dtype=np.float32) if with_grad else None
+        if g is not None:
+            g[0, :4] = [0.0, -0.0, 0.0, -0.0]
+        p.grad = None if g is None else g.copy()
+        q.grad = None if g is None else g.copy()
+        adagrad_step([("w", p)], state, 0.08, weight_decay, 1e-10)
+        adagrad_step_ref([("w", q)], ref_state, 0.08, weight_decay, 1e-10)
+        assert np.array_equal(p.data.view(np.uint32), q.data.view(np.uint32)), step
+        acc, ref_acc = state.accumulators["w"], ref_state.accumulators["w"]
+        assert np.array_equal(acc.view(np.uint32), ref_acc.view(np.uint32)), step
+        if g is not None:
+            assert np.array_equal(p.grad, g)  # left as backward wrote it
+    assert not np.signbit(p.data[p.data == 0]).any()
+    assert subnormal_count([p.data]) == 0
+    if not weight_decay:
+        assert np.all(p.data[0, :4] == 0)
 
 
 def test_adagrad_missing_grad_still_applies_decay():
