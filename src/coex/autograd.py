@@ -266,24 +266,6 @@ def _sigmoid_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, e
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_exp(a.data)[0]
-
-    def back(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), back)
-
-
-def square(a: Tensor) -> Tensor:
-    out = a.data * a.data
-
-    def back(g):
-        return (g * 2.0 * a.data,)
-
-    return _make(out, (a,), back)
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"softmax: axis {axis} out of range for shape {a.data.shape}")

@@ -188,7 +188,11 @@ def embed_inputs(
         raise ValueError(f"sequence length {n} exceeds max_seq_len {config.max_seq_len}")
     h = embedding_lookup(params.token_emb, x.input_ids.reshape(-1))
     h = add(h, embedding_lookup(params.segment_emb, x.segment_ids.reshape(-1)))
-    h = add(h, embedding_lookup(params.position_emb, np.arange(x.input_ids.size) % n))
+    # one position row per column, broadcast over the batch, so its backward
+    # is a sum over the examples instead of a scatter
+    d = h.shape[1]
+    positions = embedding_lookup(params.position_emb, np.arange(n))
+    h = reshape(add(reshape(h, x.input_ids.shape + (d,)), positions), (-1, d))
     return dropout(h, config.dropout_p, training, rng)
 
 

@@ -4,9 +4,10 @@ One shared encoder feeds two heads. The subject head tags start/end pointers
 per token. The relation-object head, conditioned on a subject span by adding
 the span's mean hidden vector to every position, tags start/end pointers per
 token per relation. Being linear, it is computed factorized, (h + m)·W + b =
-h·W + m·W + b, and never forms the conditioned rows. Both heads squash logits
-through a squared sigmoid and the same squared scores are thresholded at
-decode time.
+h·W + m·W + b, and never forms the conditioned rows. A pointer's probability
+is the squared sigmoid of its logit. The heads emit logits only: the loss
+reads them fused, and decode compares them with one float32 cut-off per
+threshold, the logit at which the float32 squared sigmoid reaches it.
 
 Training uses teacher forcing: gold subject spans (plus sampled negative
 spans, which carry all-zero object labels) condition the relation head, and
@@ -16,7 +17,7 @@ the two binary cross-entropy terms are summed into one joint loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .autograd import (
     add,
     dropout,
     matmul,
-    sigmoid,
-    square,
     _make,
     _sigmoid_exp,
 )
@@ -162,42 +161,16 @@ def init_model_params(
     )
 
 
-@dataclass
-class PointerScores:
-    """Pointer logits per token; `logits` keeps the grad path. The
-    squared-sigmoid scores are computed on first read, so training, which
-    reads only the logits, never computes them."""
-
-    logits: Tensor
-
-    @cached_property
-    def scores(self) -> Tensor:
-        return square(sigmoid(self.logits))
-
-
-class SubjectScores(PointerScores):
-    """Columns 0 = start, 1 = end."""
-
-    start = property(lambda self: self.scores.data[:, 0])
-    end = property(lambda self: self.scores.data[:, 1])
-
-
-class RelationObjectScores(PointerScores):
-    """Columns [0:R] = starts, [R:2R] = ends."""
-
-    start = property(lambda self: self.scores.data[:, : self.logits.shape[1] // 2])
-    end = property(lambda self: self.scores.data[:, self.logits.shape[1] // 2 :])
-
-
 def subject_scores(
     hidden: Tensor,
     params: ModelParams,
     dropout_p: float = 0.0,
     training: bool = False,
     rng: Rng | None = None,
-) -> SubjectScores:
+) -> Tensor:
+    """Subject pointer logits [n, 2]: column 0 = start, 1 = end."""
     h = dropout(hidden, dropout_p, training, rng)
-    return SubjectScores(add(matmul(h, params.subject_w), params.subject_b))
+    return add(matmul(h, params.subject_w), params.subject_b)
 
 
 def relation_object_scores(
@@ -206,35 +179,68 @@ def relation_object_scores(
     spans: list[list[Span]],
     lengths: list[int],
     params: ModelParams,
-) -> RelationObjectScores:
+) -> Tensor:
     """Logits [sum of len(spans[b]) * lengths[b], 2R]: per example, one block of
     its rows per span, each hidden·W plus that span's row of means·W, plus the
-    bias. means is condition_on_spans(hidden, spans, lengths)."""
+    bias. Columns [0:R] are starts, [R:2R] ends. means is
+    condition_on_spans(hidden, spans, lengths)."""
     tokens = matmul(hidden, params.relation_w)
     per_span = matmul(means, params.relation_w)
-    return RelationObjectScores(
-        _pack_span_blocks(tokens, per_span, params.relation_b, spans, lengths)
-    )
+    return _pack_span_blocks(tokens, per_span, params.relation_b, spans, lengths)
+
+
+@lru_cache(maxsize=32)
+def pointer_cutoff(threshold: float) -> np.float32:
+    """The float32 logit at which the float32 square(sigmoid(z)) reaches
+    float32(threshold): it does there, and not at the float32 just below.
+
+    Decode keeps the logits z >= cutoff. Wherever the float32 squared sigmoid
+    is non-decreasing, at scores above about 0.3636, these are exactly the
+    logits whose float32 squared score reaches the threshold. The exact
+    logit(sqrt(threshold)) would not do: at 0.5 it lies 3 float32 ulps below
+    the cut-off. Bisection runs over [-120, 40], where the float32 squared
+    score goes from 0 to 1; a threshold that rounds to float32 0 keeps every
+    logit but NaN.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    t = np.float32(threshold)
+
+    def reaches(z: np.float32) -> bool:
+        s = _sigmoid_exp(np.array([z], dtype=np.float32))[0]
+        return bool(s * s >= t)
+
+    lo, hi = np.float32(-120.0), np.float32(40.0)
+    if reaches(lo):
+        return np.float32(-np.inf)
+    while np.nextafter(lo, hi) != hi:
+        mid = np.float32((float(lo) + float(hi)) / 2)
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _pair_pointers(
     start: np.ndarray, end: np.ndarray, mask: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(column, start, end) index arrays for [n, C] pointer scores, in one pass.
+    """(column, start, end) index arrays for [n, C] pointer logits, in one pass.
 
-    Each above-threshold start pairs with the nearest above-threshold end at or
-    after it in the same column; unpaired starts are dropped. Masked positions
-    can neither start nor end a span. Pairs come ordered by column, then start.
+    A pointer fires where its squared score reaches the threshold, that is,
+    where its logit reaches pointer_cutoff(threshold). Each firing start pairs
+    with the nearest firing end at or after it in the same column; unpaired
+    starts are dropped. Masked positions can neither start nor end a span.
+    Pairs come ordered by column, then start.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    cut = pointer_cutoff(threshold)
     n = start.shape[0]
     unmasked = (np.asarray(mask) == 1)[:, None]
-    ends = (end >= threshold) & unmasked
+    ends = (end >= cut) & unmasked
     # nearest end at or after each position, n where there is none
     nearest = np.where(ends, np.arange(n)[:, None], n)
     nearest = np.minimum.accumulate(nearest[::-1], axis=0)[::-1]
-    cols, starts = np.nonzero(((start >= threshold) & unmasked).T)
+    cols, starts = np.nonzero(((start >= cut) & unmasked).T)
     stops = nearest[starts, cols]
     paired = stops < n
     return cols[paired], starts[paired], stops[paired]
@@ -243,7 +249,7 @@ def _pair_pointers(
 def decode_spans(
     start: np.ndarray, end: np.ndarray, mask: np.ndarray, threshold: float = 0.5
 ) -> list[Span]:
-    """Pair each above-threshold start with the nearest end at or after it.
+    """Pair each firing start logit with the nearest firing end at or after it.
 
     Unpaired starts are dropped. Masked positions can neither start nor end a
     span. Nested and overlapping spans are allowed.
@@ -253,18 +259,21 @@ def decode_spans(
 
 
 def decode_subject_spans(
-    scores: SubjectScores, mask: np.ndarray, threshold: float = 0.5
+    logits: np.ndarray, mask: np.ndarray, threshold: float = 0.5
 ) -> list[Span]:
-    return decode_spans(scores.start, scores.end, mask, threshold)
+    """Subject spans from [n, 2] subject logits."""
+    return decode_spans(logits[:, 0], logits[:, 1], mask, threshold)
 
 
 def decode_objects(
-    scores: RelationObjectScores, mask: np.ndarray, threshold: float = 0.5
+    logits: np.ndarray, mask: np.ndarray, threshold: float = 0.5
 ) -> list[tuple[int, Span]]:
-    """All (relation index, object span) pairs, ordered by relation then start;
-    each relation column decodes as decode_spans does, all in one pass."""
-    rels, starts, stops = _pair_pointers(scores.start, scores.end, mask, threshold)
-    return [(int(r), Span(int(s), int(e))) for r, s, e in zip(rels, starts, stops)]
+    """All (relation index, object span) pairs of [n, 2R] relation logits,
+    ordered by relation then start; each relation column decodes as
+    decode_spans does, all in one pass."""
+    r = logits.shape[1] // 2
+    rels, starts, stops = _pair_pointers(logits[:, :r], logits[:, r:], mask, threshold)
+    return [(int(c), Span(int(s), int(e))) for c, s, e in zip(rels, starts, stops)]
 
 
 def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
@@ -524,13 +533,13 @@ def joint_loss(
     if not unmasked.all():
         raise ValueError("joint_loss: an example has no unmasked position")
     w /= unmasked * len(batch)
-    sc = subject_scores(hidden, params, config.dropout_p, training, rng)
+    s_logits = subject_scores(hidden, params, config.dropout_p, training, rng)
     s_labels = np.zeros((len(batch), width, 2), dtype=dtype)
     for b, ex in enumerate(batch):
         s_labels[b, : lengths[b], 0] = ex.subject_start
         s_labels[b, : lengths[b], 1] = ex.subject_end
     l_subject = pointer_bce(
-        sc.logits, s_labels.reshape(-1, 2), (w / 2).reshape(-1, 1), 1.0
+        s_logits, s_labels.reshape(-1, 2), (w / 2).reshape(-1, 1), 1.0
     )
 
     # relation rows packed as relation_object_scores packs them: per example,
@@ -563,8 +572,8 @@ def joint_loss(
     if pos:
         h = dropout(hidden, config.dropout_p, training, rng)
         means = condition_on_spans(h, spans, lengths)
-        ro = relation_object_scores(h, means, spans, lengths, params)
-        l_relation = pointer_bce(ro.logits, labels, weights, 1.0, rows, row_weights)
+        r_logits = relation_object_scores(h, means, spans, lengths, params)
+        l_relation = pointer_bce(r_logits, labels, weights, 1.0, rows, row_weights)
     else:
         l_relation = Tensor(np.asarray(0.0, dtype=dtype))
     return LossParts(
@@ -609,16 +618,15 @@ def extract_triples(
 
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
-    subj_spans = decode_subject_spans(subject_scores(hidden, params), mask, threshold)
+    subj_spans = decode_subject_spans(subject_scores(hidden, params).data, mask, threshold)
     subj_spans = sorted(subj_spans, key=lambda sp: (sp.start, sp.end))
     if not subj_spans:
         return triples
     n = len(ids)
     means = condition_on_spans(hidden, [subj_spans], [n])
-    logits = relation_object_scores(hidden, means, [subj_spans], [n], params).logits.data
+    logits = relation_object_scores(hidden, means, [subj_spans], [n], params).data
     for i, s_span in enumerate(subj_spans):
-        block = RelationObjectScores(Tensor(logits[i * n : (i + 1) * n]))
-        for rel, o_span in decode_objects(block, mask, threshold):
+        for rel, o_span in decode_objects(logits[i * n : (i + 1) * n], mask, threshold):
             t = Triple(
                 subject=surface(s_span),
                 predicate=schema.predicates[rel],

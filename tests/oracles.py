@@ -13,19 +13,20 @@ layer_norm_ref and softmax_ref are the forwards that layer_norm and softmax
 must equal bit for bit; sigmoid_where, pointer_bce_dense and adagrad_step_ref
 are the sign-selected sigmoid, the dense pointer BCE and the out-of-place
 Adagrad step that the sigmoid helper, pointer_bce and adagrad_step must equal
-bit for bit.
+bit for bit; sigmoid and square are autograd ops for the tests, and
+squared_score is the float32 square(sigmoid(z)) that decode's logit cut-off
+must reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from coex.autograd import Tensor, _make, add, dropout, matmul, mul
+from coex.autograd import Tensor, _make, _sigmoid_exp, add, dropout, matmul, mul
 from coex.data import CLS_ID, SEP_ID, _truncate, tokenize
 from coex.encoder import EncodedInput, encode
 from coex.tagger import (
     LossParts,
-    RelationObjectScores,
     RelationSchema,
     Span,
     Triple,
@@ -162,9 +163,9 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         w = ex.input.input_mask.astype(dtype)[:, None]
         n_unmasked = float(w.sum())
 
-        sc = subject_scores(hidden, params, config.dropout_p, training, rng)
+        s_logits = subject_scores(hidden, params, config.dropout_p, training, rng)
         s_labels = np.stack([ex.subject_start, ex.subject_end], axis=1).astype(dtype)
-        subject_terms.append(pointer_bce(sc.logits, s_labels, w, 2 * n_unmasked))
+        subject_terms.append(pointer_bce(s_logits, s_labels, w, 2 * n_unmasked))
 
         h_rel = dropout(hidden, config.dropout_p, training, rng)
         spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
@@ -175,7 +176,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
             labels[i, :, :r] = sub.object_start
             labels[i, :, r:] = sub.object_end
         means = condition_on_spans(h_rel, [spans], [n])
-        ro = relation_object_scores(h_rel, means, [spans], [n], params)
+        r_logits = relation_object_scores(h_rel, means, [spans], [n], params)
         n_gold = len(ex.subjects)
         n_neg = len(ex.negative_spans)
         per_gold = 1.0 / (n_unmasked * 2 * r)
@@ -188,7 +189,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
                 labels, rw.reshape(len(spans), n, 1), weighting
             ).reshape(len(spans) * n, 2 * r)
         relation_terms.append(
-            pointer_bce(ro.logits, labels.reshape(len(spans) * n, 2 * r), rw, 1.0)
+            pointer_bce(r_logits, labels.reshape(len(spans) * n, 2 * r), rw, 1.0)
         )
 
     def average(terms):
@@ -224,19 +225,19 @@ def relation_logits_ref(hidden: np.ndarray, spans, lengths, w: np.ndarray, b: np
 def extract_triples_per_subject(text, params, config, vocab, schema, threshold=0.5):
     """extract_triples the unfactorized way: for each decoded subject in turn,
     add its span mean to every hidden row, apply the relation head, decode.
-    Returns (triples, [per-subject relation scores])."""
+    Returns (triples, [per-subject squared relation scores])."""
     tokens, offsets = _truncate(*tokenize(text), config.max_seq_len)
     ids = vocab.encode(tokens)
     x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
     hidden = encode(x, params.encoder, config)
     mask = content_mask(ids, x.input_mask, CLS_ID, SEP_ID)
-    subjects = decode_subject_spans(subject_scores(hidden, params), mask, threshold)
+    subjects = decode_subject_spans(subject_scores(hidden, params).data, mask, threshold)
     triples, seen, scores = [], set(), []
     for s_span in sorted(subjects, key=lambda sp: (sp.start, sp.end)):
         conditioned = condition_on_subject(hidden, s_span)
-        ro = RelationObjectScores(add(matmul(conditioned, params.relation_w), params.relation_b))
-        scores.append(ro.scores.data)
-        for rel, o_span in decode_objects(ro, mask, threshold):
+        logits = add(matmul(conditioned, params.relation_w), params.relation_b).data
+        scores.append(squared_score(logits))
+        for rel, o_span in decode_objects(logits, mask, threshold):
             t = Triple(
                 subject=text[offsets[s_span.start][0] : offsets[s_span.end][1]],
                 predicate=schema.predicates[rel],
@@ -268,6 +269,30 @@ def sigmoid_where(z: np.ndarray) -> np.ndarray:
     """The sigmoid selected by the sign of z: 1/(1+e) or e/(1+e), e = exp(-|z|)."""
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(z.dtype, copy=False)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid_exp(a.data)[0]
+
+    def back(g):
+        return (g * out * (1.0 - out),)
+
+    return _make(out, (a,), back)
+
+
+def square(a: Tensor) -> Tensor:
+    out = a.data * a.data
+
+    def back(g):
+        return (g * 2.0 * a.data,)
+
+    return _make(out, (a,), back)
+
+
+def squared_score(logits: np.ndarray) -> np.ndarray:
+    """square(sigmoid(logits)) in the logits' dtype: a pointer's probability."""
+    s = sigmoid_where(logits)
+    return s * s
 
 
 def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray, divisor: float) -> Tensor:

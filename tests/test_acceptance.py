@@ -45,7 +45,7 @@ from coex.tagger import (
     subject_scores,
 )
 from coex.trainer import TrainConfig, read_checkpoint, save_checkpoint, train
-from oracles import subnormal_count, triples_from_labels
+from oracles import squared_score, subnormal_count, triples_from_labels
 
 
 def _line(num: int, ok: bool, detail: str):
@@ -237,13 +237,13 @@ def _scores_for(text: str, params, cfg, vocab):
     ids = vocab.encode(tokens)
     x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
     hidden = encode(x, params.encoder, cfg, training=False)
-    subj = subject_scores(hidden, params).scores.data
+    subj = squared_score(subject_scores(hidden, params).data)
     start = int(np.argmax(subj[:, 0]))
     end = int(np.argmax(subj[start:, 1])) + start
     spans, lengths = [[Span(start, end)]], [len(ids)]
     means = condition_on_spans(hidden, spans, lengths)
     rel = relation_object_scores(hidden, means, spans, lengths, params)
-    return subj, rel.scores.data
+    return subj, squared_score(rel.data)
 
 
 def test_criterion_08_inference_parity(big_run):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coex.autograd import Rng, Tensor, grad_check, sigmoid, tensor
+from coex.autograd import Rng, Tensor, grad_check, tensor
 from coex.data import (
     RawExample,
     RawTriple,
@@ -32,13 +32,15 @@ from coex.tagger import (
     init_model_params,
     joint_loss,
     pointer_bce,
+    pointer_cutoff,
     relation_cell_weights,
     relation_object_scores,
     subject_scores,
 )
-from oracles import bce_mean, objects_by_column, spans_loop
+from oracles import bce_mean, objects_by_column, spans_loop, squared_score
 
 LN075 = -math.log(0.75)  # BCE of a 0.25 score against a zero label
+ON = 3.0  # a pointer logit whose squared score, 0.91, reaches the default 0.5
 
 
 def small_config(**kw):
@@ -83,12 +85,14 @@ def test_decode_spans_nearest_end_and_unpaired():
     mask = np.ones(n)
     start = np.zeros(n)
     end = np.zeros(n)
-    start[[1, 5]] = 0.9
-    end[[3, 6]] = 0.9
+    start[[1, 5]] = ON
+    end[[3, 6]] = ON
     assert decode_spans(start, end, mask) == [Span(1, 3), Span(5, 6)]
+    # subject logits: column 0 starts, column 1 ends
+    assert decode_subject_spans(np.stack([start, end], axis=1), mask) == [Span(1, 3), Span(5, 6)]
     # a start with no end at or after it is dropped
     start2 = np.zeros(n)
-    start2[7] = 0.9
+    start2[7] = ON
     assert decode_spans(start2, end * 0, mask) == []
 
 
@@ -96,8 +100,8 @@ def test_decode_spans_tie_takes_earliest_end():
     mask = np.ones(6)
     start = np.zeros(6)
     end = np.zeros(6)
-    start[1] = 0.8
-    end[[2, 4]] = 0.8
+    start[1] = ON
+    end[[2, 4]] = ON
     assert decode_spans(start, end, mask) == [Span(1, 2)]
 
 
@@ -105,14 +109,14 @@ def test_decode_spans_single_token_span():
     mask = np.ones(4)
     start = np.zeros(4)
     end = np.zeros(4)
-    start[2] = 0.7
-    end[2] = 0.7
+    start[2] = ON
+    end[2] = ON
     assert decode_spans(start, end, mask) == [Span(2, 2)]
 
 
 def test_decode_spans_respects_mask():
-    start = np.full(5, 0.9)
-    end = np.full(5, 0.9)
+    start = np.full(5, ON)
+    end = np.full(5, ON)
     mask = np.array([0, 1, 1, 0, 0])
     assert decode_spans(start, end, mask) == [Span(1, 1), Span(2, 2)]
 
@@ -121,8 +125,8 @@ def test_decode_spans_allows_nested_and_overlapping():
     mask = np.ones(7)
     start = np.zeros(7)
     end = np.zeros(7)
-    start[[1, 2]] = 0.9
-    end[[4, 5]] = 0.9
+    start[[1, 2]] = ON
+    end[[4, 5]] = ON
     assert decode_spans(start, end, mask) == [Span(1, 4), Span(2, 4)]
 
 
@@ -135,50 +139,71 @@ def test_decode_spans_threshold_bounds():
 
 
 def test_one_pass_decode_matches_per_column_loop():
+    """decode_objects and decode_spans on logits against the per-column loop
+    on the float32 squared scores, with cells a few ulps around the cut-off."""
     rng = np.random.default_rng(7)
-    seen = {"masked": 0, "nested": 0, "unpaired": 0}
+    seen = {"masked": 0, "nested": 0, "unpaired": 0, "near_cut": 0}
     for _ in range(2000):
         n, r = int(rng.integers(0, 14)), int(rng.integers(1, 6))
         thr = float(rng.choice([0.2, 0.5, 0.8]))
-        start = rng.uniform(0.0, 1.0, (n, r)).astype(np.float32)
-        end = rng.uniform(0.0, 1.0, (n, r)).astype(np.float32)
+        cut = pointer_cutoff(thr)
+        logits = (cut + rng.normal(0.0, 2.0, (n, 2 * r))).astype(np.float32)
+        near = rng.uniform(size=logits.shape) < 0.2
+        ulps = rng.integers(-3, 4, size=logits.shape).astype(np.float32)
+        logits[near] = (cut + ulps * np.spacing(cut))[near]
         mask = (rng.uniform(size=n) < 0.8).astype(np.int64)
-        scores = SimpleNamespace(start=start, end=end)  # what decode_objects reads
-        want = objects_by_column(start, end, mask, thr)
-        assert decode_objects(scores, mask, thr) == want
+        scores = squared_score(logits)
+        want = objects_by_column(scores[:, :r], scores[:, r:], mask, thr)
+        assert decode_objects(logits, mask, thr) == want
         for c in range(r):
-            assert decode_spans(start[:, c], end[:, c], mask, thr) == spans_loop(
-                start[:, c], end[:, c], mask, thr
+            assert decode_spans(logits[:, c], logits[:, r + c], mask, thr) == spans_loop(
+                scores[:, c], scores[:, r + c], mask, thr
             )
-        hits = (start >= thr) & (mask == 1)[:, None]
-        seen["masked"] += int(((start >= thr) & (mask == 0)[:, None]).any())
+        fires = scores >= thr
+        hits = fires[:, :r] & (mask == 1)[:, None]
+        seen["masked"] += int((fires & (mask == 0)[:, None]).any())
         # two starts of one column sharing their end: nested or overlapping spans
         seen["nested"] += len({(c, sp.end) for c, sp in want}) < len(want)
         seen["unpaired"] += len(want) < int(hits.sum())
+        seen["near_cut"] += int(fires[near].any() and not fires[near].all())
     assert min(seen.values()) > 100, seen
 
 
+def _float32_around(x: np.float32, k: int) -> np.ndarray:
+    """The k float32 values below x, x, and the k above, in order."""
+    i = int(np.float32(x).view(np.int32))
+    key = i if i >= 0 else -(i & 0x7FFFFFFF)  # monotone in the float's value
+    keys = np.arange(key - k, key + k + 1)
+    return np.where(keys >= 0, keys, -keys - 2**31).astype(np.int32).view(np.float32)
+
+
 def test_threshold_on_squared_score_matches_logit_rule():
-    rng = np.random.default_rng(0)
-    thr = 0.5
-    logit_cut = math.log(math.sqrt(thr) / (1 - math.sqrt(thr)))
-    for _ in range(200):
-        logit = float(rng.normal(scale=3.0))
-        score = float(sigmoid(tensor([logit])).data[0]) ** 2
-        assert (score >= thr) == (logit >= logit_cut) or abs(logit - logit_cut) < 1e-6
+    """z >= pointer_cutoff(t) keeps exactly the float32 logits whose float32
+    squared sigmoid is >= float32(t), on the 2^20 values on each side of the
+    cut-off and on +-inf and NaN."""
+    for thr in (0.2, 0.24, 0.3, 0.5, 0.8, 0.999):
+        cut = pointer_cutoff(thr)
+        z = np.concatenate([_float32_around(cut, 2**20), np.float32([np.inf, -np.inf, np.nan])])
+        assert np.array_equal(z >= cut, squared_score(z) >= np.float32(thr)), thr
+    # the exact logit(sqrt(0.5)), rounded to float32, lies 3 ulps below the cut-off
+    root = math.sqrt(0.5)
+    exact = np.float32(math.log(root) - math.log1p(-root))
+    assert pointer_cutoff(0.5).view(np.int32) - exact.view(np.int32) == 3
+    # a threshold that rounds to float32 0 keeps every logit but NaN
+    assert pointer_cutoff(1e-50) == -np.inf
 
 
 def test_subject_scores_are_squared_sigmoid():
     cfg = small_config()
     params = init_model_params(cfg, num_relations=2, rng=Rng(1))
     h = np.random.default_rng(1).normal(size=(5, cfg.model_dim)).astype(np.float32)
-    sc = subject_scores(Tensor(h), params)
-    logits = h @ params.subject_w.data + params.subject_b.data
-    expect = (1.0 / (1.0 + np.exp(-logits.astype(np.float64)))) ** 2
-    np.testing.assert_allclose(sc.scores.data, expect, atol=1e-6)
-    np.testing.assert_allclose(sc.start, sc.scores.data[:, 0])
-    np.testing.assert_allclose(sc.end, sc.scores.data[:, 1])
-    assert np.all(sc.scores.data > 0) and np.all(sc.scores.data < 1)
+    logits = subject_scores(Tensor(h), params)
+    expect = h @ params.subject_w.data + params.subject_b.data
+    assert logits.shape == (5, 2)
+    np.testing.assert_allclose(logits.data, expect, rtol=1e-6, atol=1e-7)
+    scores = squared_score(logits.data)
+    np.testing.assert_allclose(scores, (1.0 / (1.0 + np.exp(-expect.astype(np.float64)))) ** 2, atol=1e-6)
+    assert np.all(scores > 0) and np.all(scores < 1)
 
 
 def test_relation_scores_layout():
@@ -188,9 +213,11 @@ def test_relation_scores_layout():
     h = Tensor(np.random.default_rng(2).normal(size=(4, cfg.model_dim)).astype(np.float32))
     spans = [[Span(0, 1), Span(2, 2)]]
     ro = relation_object_scores(h, condition_on_spans(h, spans, [4]), spans, [4], params)
-    assert ro.start.shape == (8, r) and ro.end.shape == (8, r)
-    np.testing.assert_allclose(ro.start, ro.scores.data[:, :r])
-    np.testing.assert_allclose(ro.end, ro.scores.data[:, r:])
+    assert ro.shape == (8, 2 * r)
+    # columns [0:R] are starts and [R:2R] ends
+    block = np.zeros((4, 2 * r), dtype=np.float32)
+    block[1, 2] = block[3, r + 2] = ON
+    assert decode_objects(block, np.ones(4), 0.5) == [(2, Span(1, 3))]
 
 
 def test_condition_on_subject_adds_span_mean():
@@ -228,7 +255,8 @@ def test_condition_on_spans_gradient():
     spans = [[Span(1, 2), Span(0, 4), Span(3, 3)], [Span(0, 2), Span(2, 2)]]
 
     def f(params):
-        from coex.autograd import square, tsum
+        from coex.autograd import tsum
+        from oracles import square
 
         return tsum(square(condition_on_spans(params[0], spans, [5, 3])))
 
@@ -249,8 +277,8 @@ def test_relation_head_matches_unfactorized_oracle():
     lengths = [5, 4, 3]
     ro = relation_object_scores(h, condition_on_spans(h, spans, lengths), spans, lengths, params)
     want = relation_logits_ref(h.data, spans, lengths, params.relation_w.data, params.relation_b.data)
-    assert ro.logits.shape == want.shape == (4 * 5 + 2 * 3, 6)
-    assert np.abs(ro.logits.data - want).max() <= 1e-5 * np.abs(want).max()
+    assert ro.shape == want.shape == (4 * 5 + 2 * 3, 6)
+    assert np.abs(ro.data - want).max() <= 1e-5 * np.abs(want).max()
 
 
 def test_relation_head_gradient_check():
@@ -273,7 +301,7 @@ def test_relation_head_gradient_check():
         def f(ps):
             means = condition_on_spans(ps[0], spans, lengths)
             ro = relation_object_scores(ps[0], means, spans, lengths, head)
-            return pointer_bce(ro.logits, labels, weights, 1.0)
+            return pointer_bce(ro, labels, weights, 1.0)
 
         errors[dtype] = grad_check(f, [hidden, head.relation_w, head.relation_b], eps=eps)
     assert errors[np.float32] <= 1e-3 and errors[np.float64] <= 1e-6, errors
@@ -318,7 +346,7 @@ def test_bce_mean_gradient():
     weights = np.array([[1.0], [1.0], [0.0], [1.0]])
 
     def f(params):
-        from coex.autograd import sigmoid as sg, square as sq
+        from oracles import sigmoid as sg, square as sq
 
         return bce_mean(sq(sg(params[0])), labels, weights)
 
@@ -326,7 +354,7 @@ def test_bce_mean_gradient():
 
 
 def test_pointer_bce_matches_unfused_form():
-    from coex.autograd import sigmoid as sg, square as sq
+    from oracles import sigmoid as sg, square as sq
 
     rng = Rng(14)
     labels = (np.arange(15).reshape(5, 3) % 2).astype(np.float64)
@@ -891,9 +919,9 @@ def test_extract_triples_all_subjects_in_one_call_matches_per_subject_oracle(mon
     params, cfg = result.params.freeze(), result.config.encoder
     blocks = []
 
-    def recording(scores, mask, threshold=0.5):
-        blocks.append(np.concatenate([scores.start, scores.end], axis=1))
-        return decode_objects(scores, mask, threshold)
+    def recording(logits, mask, threshold=0.5):
+        blocks.append(squared_score(logits))
+        return decode_objects(logits, mask, threshold)
 
     monkeypatch.setattr(tagger, "decode_objects", recording)
     found = multi = 0
