@@ -25,7 +25,7 @@ from .data import (
     save_schema,
 )
 from .evaluator import benchmark_latency, score_triples
-from .runtime import export_model, infer, inference_model, load_inference_model, serve
+from .runtime import export_model, infer, load_inference_model, serve
 from .trainer import (
     TrainConfig,
     config_from_dict,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Rng
-from .encoder import EncodedInput
+from .encoder import PAD_ID
 from .tagger import RelationSchema, SchemaError, Span, SubjectAnnotation
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
-PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
+UNK_ID, CLS_ID, SEP_ID = 1, 2, 3
 RESERVED = (PAD, UNK, CLS, SEP)
 
 NEGATIVE_MAX_SPAN = 10
@@ -202,7 +202,7 @@ class EncodedExample:
     """Token ids plus pointer labels; relation labels hang off each subject."""
 
     text: str
-    input: EncodedInput
+    input_ids: np.ndarray
     char_offsets: list[tuple[int, int]]
     subject_start: np.ndarray
     subject_end: np.ndarray
@@ -285,12 +285,9 @@ def encode_example(
         ann.object_start[o_span.start, rel] = 1.0
         ann.object_end[o_span.end, rel] = 1.0
 
-    ids = vocab.encode(tokens)
     return EncodedExample(
         text=raw.text,
-        input=EncodedInput(
-            ids, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        ),
+        input_ids=vocab.encode(tokens),
         char_offsets=offsets,
         subject_start=subject_start,
         subject_end=subject_end,
@@ -315,7 +312,7 @@ def sample_negatives(
         raise ValueError("k must be non-negative")
     if rng is None:
         raise ValueError("sample_negatives requires an rng")
-    n = len(ex.input.input_ids)
+    n = len(ex.input_ids)
     first, last = 1, n - 2  # content region between the specials
     gold = {s.span for s in ex.subjects}
     pool = [

@@ -4,10 +4,10 @@ Post-norm layers: x -> LN(x + dropout(MHA(x))) -> LN(u + dropout(FFN(u))).
 Attention masking is additive (-1e9 on masked keys), which drives masked
 attention weights to exactly zero after the max-subtracted softmax.
 
-Every function takes a padded batch: input arrays of shape [B, L], hidden
-states as B·L rows of [B·L, d], example b on rows b·L .. b·L + L - 1. A single
-sentence is the batch B = 1, given as 1-D arrays of length n, and its hidden
-states are [n, d].
+The one input is a [B, L] int64 matrix of token ids, padded with PAD_ID; the
+attention mask is derived from it (ids != PAD_ID). Hidden states are B·L rows
+of [B·L, d], example b on rows b·L .. b·L + L - 1. A single sentence is the
+batch B = 1. Every token is segment 0: only row 0 of the segment table is read.
 
 An attention layer whose logits are provably at most 2⁻²⁷ builds its exactly
 uniform weights directly, in training and inference alike; in training its
@@ -37,6 +37,7 @@ from .autograd import (
     transpose,
 )
 
+PAD_ID = 0  # [PAD]; no tokenized text encodes to it
 MASK_BIAS = -1e9
 UNIFORM_LOGIT_BOUND = 2.0**-27  # see _uniform_attention
 
@@ -142,57 +143,32 @@ def init_encoder_params(config: EncoderConfig, rng: Rng, dtype=DEFAULT_DTYPE) ->
     )
 
 
-@dataclass
-class EncodedInput:
-    """One sentence ([n] arrays) or a padded batch ([B, L] arrays)."""
-
-    input_ids: np.ndarray
-    input_mask: np.ndarray
-    segment_ids: np.ndarray
-
-    def __post_init__(self):
-        self.input_ids = np.asarray(self.input_ids, dtype=np.int64)
-        self.input_mask = np.asarray(self.input_mask, dtype=np.int64)
-        self.segment_ids = np.asarray(self.segment_ids, dtype=np.int64)
-        if not (self.input_ids.shape == self.input_mask.shape == self.segment_ids.shape):
-            raise ValueError(
-                f"input arrays disagree on shape: ids {self.input_ids.shape}, "
-                f"mask {self.input_mask.shape}, segments {self.segment_ids.shape}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.input_ids)
-
-
-def pad_batch(inputs: list[EncodedInput]) -> EncodedInput:
-    """Stack sentences into [B, L] arrays, L the longest; padding has id 0
-    ([PAD]), segment 0 and mask 0."""
-    length = max(len(x) for x in inputs)
-    out = [np.zeros((len(inputs), length), dtype=np.int64) for _ in range(3)]
-    for b, x in enumerate(inputs):
-        for dst, src in zip(out, (x.input_ids, x.input_mask, x.segment_ids)):
-            dst[b, : len(src)] = src
-    return EncodedInput(*out)
+def pad_batch(sentences: list[np.ndarray]) -> np.ndarray:
+    """Stack id arrays into one [B, L] int64 matrix, L the longest, padded with PAD_ID."""
+    ids = np.full((len(sentences), max(len(s) for s in sentences)), PAD_ID, dtype=np.int64)
+    for b, s in enumerate(sentences):
+        ids[b, : len(s)] = s
+    return ids
 
 
 def embed_inputs(
-    x: EncodedInput,
+    ids: np.ndarray,
     params: EncoderParams,
     config: EncoderConfig,
     training: bool = False,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Sum of token, segment and learned position embeddings, then dropout."""
-    n = x.input_ids.shape[-1]
+    """Sum of token, segment-0 and learned position embeddings, then dropout."""
+    b, n = ids.shape
     if n > config.max_seq_len:
         raise ValueError(f"sequence length {n} exceeds max_seq_len {config.max_seq_len}")
-    h = embedding_lookup(params.token_emb, x.input_ids.reshape(-1))
-    h = add(h, embedding_lookup(params.segment_emb, x.segment_ids.reshape(-1)))
-    # one position row per column, broadcast over the batch, so its backward
-    # is a sum over the examples instead of a scatter
+    h = embedding_lookup(params.token_emb, ids.reshape(-1))
+    # one segment row for every token and one position row per column, each
+    # broadcast, so their backward is a sum over rows instead of a scatter
+    h = add(h, embedding_lookup(params.segment_emb, np.zeros(1, dtype=np.int64)))
     d = h.shape[1]
     positions = embedding_lookup(params.position_emb, np.arange(n))
-    h = reshape(add(reshape(h, x.input_ids.shape + (d,)), positions), (-1, d))
+    h = reshape(add(reshape(h, (b, n, d)), positions), (-1, d))
     return dropout(h, config.dropout_p, training, rng)
 
 
@@ -234,14 +210,12 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product attention per head; masked keys get weight exactly 0.
 
-    x is [B·L, d] and mask [B, L] (or [n] for one sentence); each example
-    attends only within its own L rows. A layer whose logits are provably
-    too small to matter skips q @ k and the softmax (see _uniform_attention);
-    the forward is bit-identical either way, and in training the skipped
-    layer's q and k projections get no gradient.
+    x is [B·L, d] and mask [B, L]; each example attends only within its own
+    L rows. A layer whose logits are provably too small to matter skips
+    q @ k and the softmax (see _uniform_attention); the forward is
+    bit-identical either way, and in training the skipped layer's q and k
+    projections get no gradient.
     """
-    if mask.ndim == 1:
-        mask = mask[None]
     b, n = mask.shape
     d = x.shape[1]
     nh, hd = config.num_heads, config.head_dim
@@ -284,15 +258,16 @@ def encoder_layer(
 
 
 def encode(
-    x: EncodedInput,
+    ids: np.ndarray,
     params: EncoderParams,
     config: EncoderConfig,
     training: bool = False,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Full stack: embeddings plus num_layers encoder layers. Returns
-    [B·L, model_dim], or [n, model_dim] for one sentence."""
-    h = embed_inputs(x, params, config, training, rng)
+    """Full stack over [B, L] padded ids: embeddings plus num_layers encoder
+    layers, with [PAD] keys masked. Returns [B·L, model_dim]."""
+    mask = ids != PAD_ID
+    h = embed_inputs(ids, params, config, training, rng)
     for layer in params.layers:
-        h = encoder_layer(h, x.input_mask, layer, config, training, rng)
+        h = encoder_layer(h, mask, layer, config, training, rng)
     return h

@@ -32,7 +32,7 @@ from .autograd import (
     _sigmoid_exp,
 )
 from .encoder import (
-    EncodedInput,
+    PAD_ID,
     EncoderConfig,
     EncoderParams,
     LayerParams,
@@ -488,7 +488,7 @@ def joint_loss(
     config: EncoderConfig,
     rng: Rng | None = None,
     training: bool = True,
-    weighting: LossWeighting | None = None,
+    weighting: LossWeighting = LossWeighting(),
 ) -> LossParts:
     """Subject BCE plus relation BCE, averaged over a batch of encoded examples.
 
@@ -498,7 +498,7 @@ def joint_loss(
     relation term sums the per-span mean BCE over gold conditioning spans, and
     the negative spans together contribute the sample mean of their per-span
     BCEs, estimating the rejection loss under the negative-sampling draw.
-    Optional weighting boosts relation cells around the gold pointers; the
+    The weighting boosts relation cells around the gold pointers; the
     positive cells of sparse pointer rows otherwise contribute too little
     gradient against the mass of zero cells for the head to pull them over
     the decision threshold.
@@ -516,7 +516,7 @@ def joint_loss(
         raise ValueError("joint_loss: empty batch")
     r = params.num_relations
     dtype = params.encoder.token_emb.dtype
-    lengths = [len(ex.input.input_ids) for ex in batch]
+    lengths = [len(ex.input_ids) for ex in batch]
     spans = [[sub.span for sub in ex.subjects] + list(ex.negative_spans) for ex in batch]
     for ex, n in zip(batch, lengths):
         if len(ex.subject_start) != n or len(ex.subject_end) != n:
@@ -524,11 +524,11 @@ def joint_loss(
         for sub in ex.subjects:
             if sub.object_start.shape != (n, r) or sub.object_end.shape != (n, r):
                 raise ValueError(f"object labels shape {sub.object_start.shape} != ({n}, {r})")
-    x = pad_batch([ex.input for ex in batch])
-    width = x.input_ids.shape[1]
-    hidden = encode(x, params.encoder, config, training, rng)
+    ids = pad_batch([ex.input_ids for ex in batch])
+    width = ids.shape[1]
+    hidden = encode(ids, params.encoder, config, training, rng)
     # each example's unmasked positions share its 1/B of the loss
-    w = x.input_mask.astype(dtype)
+    w = (ids != PAD_ID).astype(dtype)
     unmasked = w.sum(axis=1, keepdims=True)
     if not unmasked.all():
         raise ValueError("joint_loss: an example has no unmasked position")
@@ -565,7 +565,7 @@ def joint_loss(
             lab[i, :, :r] = sub.object_start
             lab[i, :, r:] = sub.object_end
         cells = weights[at : at + g * n].reshape(g, n, 2 * r)
-        cells[...] = base[:g] if weighting is None else relation_cell_weights(lab, base[:g], weighting)
+        cells[...] = relation_cell_weights(lab, base[:g], weighting)
         rows[at : at + g * n] = np.arange(pos, pos + g * n)
         pos += s * n
         at += g * n
@@ -583,12 +583,10 @@ def joint_loss(
     )
 
 
-def content_mask(input_ids: np.ndarray, input_mask: np.ndarray, cls_id: int, sep_id: int) -> np.ndarray:
-    """Unmasked positions that may carry entity spans (specials excluded)."""
-    m = np.asarray(input_mask).copy()
+def content_mask(input_ids: np.ndarray, cls_id: int, sep_id: int) -> np.ndarray:
+    """1 where one sentence's token may carry entity spans, 0 at the specials."""
     ids = np.asarray(input_ids)
-    m[(ids == cls_id) | (ids == sep_id)] = 0
-    return m
+    return ((ids != cls_id) & (ids != sep_id)).astype(np.int64)
 
 
 def extract_triples(
@@ -609,9 +607,8 @@ def extract_triples(
 
     tokens, offsets = _truncate(*tokenize(text), config.max_seq_len)
     ids = vocab.encode(tokens)
-    x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
-    hidden = encode(x, params.encoder, config)
-    mask = content_mask(ids, x.input_mask, CLS_ID, SEP_ID)
+    hidden = encode(ids[None], params.encoder, config)
+    mask = content_mask(ids, CLS_ID, SEP_ID)
 
     def surface(span: Span) -> str:
         return text[offsets[span.start][0] : offsets[span.end][1]]

@@ -24,7 +24,7 @@ import numpy as np
 
 from coex.autograd import Tensor, _make, _sigmoid_exp, add, dropout, matmul, mul
 from coex.data import CLS_ID, SEP_ID, _truncate, tokenize
-from coex.encoder import EncodedInput, encode
+from coex.encoder import PAD_ID, encode
 from coex.tagger import (
     LossParts,
     RelationSchema,
@@ -95,7 +95,7 @@ def subnormal_count(arrays) -> int:
 
 def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
     """Decode gold pointer labels back into triples (threshold semantics)."""
-    mask = content_mask(ex.input.input_ids, ex.input.input_mask, CLS_ID, SEP_ID)
+    mask = content_mask(ex.input_ids, CLS_ID, SEP_ID)
 
     def surface(span: Span) -> str:
         return ex.text[ex.char_offsets[span.start][0] : ex.char_offsets[span.end][1]]
@@ -157,10 +157,10 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
     subject_terms = []
     relation_terms = []
     for ex in batch:
-        n = len(ex.input.input_ids)
-        hidden = encode(ex.input, params.encoder, config, training, rng)
+        n = len(ex.input_ids)
+        hidden = encode(ex.input_ids[None], params.encoder, config, training, rng)
         dtype = hidden.dtype
-        w = ex.input.input_mask.astype(dtype)[:, None]
+        w = (ex.input_ids != PAD_ID).astype(dtype)[:, None]
         n_unmasked = float(w.sum())
 
         s_logits = subject_scores(hidden, params, config.dropout_p, training, rng)
@@ -228,9 +228,8 @@ def extract_triples_per_subject(text, params, config, vocab, schema, threshold=0
     Returns (triples, [per-subject squared relation scores])."""
     tokens, offsets = _truncate(*tokenize(text), config.max_seq_len)
     ids = vocab.encode(tokens)
-    x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
-    hidden = encode(x, params.encoder, config)
-    mask = content_mask(ids, x.input_mask, CLS_ID, SEP_ID)
+    hidden = encode(ids[None], params.encoder, config)
+    mask = content_mask(ids, CLS_ID, SEP_ID)
     subjects = decode_subject_spans(subject_scores(hidden, params).data, mask, threshold)
     triples, seen, scores = [], set(), []
     for s_span in sorted(subjects, key=lambda sp: (sp.start, sp.end)):

@@ -31,7 +31,7 @@ from coex.data import (
     save_corpus,
     tokenize,
 )
-from coex.encoder import EncodedInput, EncoderConfig, encode
+from coex.encoder import EncoderConfig, encode
 from coex.evaluator import f1, score_triples, t_test, triples_to_payload
 from coex.runtime import create_server, export_model, infer, load_inference_model
 from coex.tagger import (
@@ -150,7 +150,7 @@ def test_criterion_04_joint_gradient_check():
     )
     ex = encode_example(raw, vocab, schema, cfg.max_seq_len)
     sample_negatives(ex, 4, Rng(0))
-    assert len(ex.input.input_ids) == 8 and ex.subjects and ex.negative_spans
+    assert len(ex.input_ids) == 8 and ex.subjects and ex.negative_spans
 
     errors = {}
     for mode, dtype in (("32-bit", np.float32), ("64-bit", np.float64)):
@@ -235,8 +235,7 @@ def test_criterion_07_determinism_and_serialization(big_run, tmp_path):
 def _scores_for(text: str, params, cfg, vocab):
     tokens, _ = tokenize(text)
     ids = vocab.encode(tokens)
-    x = EncodedInput(ids, np.ones(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64))
-    hidden = encode(x, params.encoder, cfg, training=False)
+    hidden = encode(ids[None], params.encoder, cfg, training=False)
     subj = squared_score(subject_scores(hidden, params).data)
     start = int(np.argmax(subj[:, 0]))
     end = int(np.argmax(subj[start:, 1])) + start

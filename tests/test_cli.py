@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from coex.cli import build_parser, main, resolve_train_config
 from coex.runtime import infer, load_inference_model
+from coex.trainer import TrainConfig
 
 TINY_CONFIG = {
     "lr": 0.1,
@@ -41,6 +44,12 @@ def test_unknown_flag_and_subcommand_fail():
     assert main(["synth", "--n", "5", "--frobnicate", "1", "--out", "x"]) != 0
     assert main(["no-such-command"]) != 0
     assert main([]) != 0
+
+
+def test_default_config_file_records_the_library_defaults():
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == asdict(TrainConfig())
 
 
 def test_config_precedence(tmp_path):

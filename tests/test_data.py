@@ -6,6 +6,7 @@ import pytest
 from coex.autograd import Rng
 from coex.data import (
     CLS,
+    PAD,
     CLS_ID,
     PAD_ID,
     SEP,
@@ -133,6 +134,21 @@ def _vocab_for(*texts):
     return build_vocab([RawExample(t, []) for t in texts])
 
 
+@pytest.mark.parametrize(
+    "text", ["[PAD]", "甲[PAD]乙", "[CLS][SEP][UNK]", " [PAD] x[PAD]y ", "", " \t\n "]
+)
+def test_no_text_encodes_to_pad_id(text):
+    # [PAD] ids mark padding: literal specials split into pieces, and a vocab
+    # cannot hold a reserved token twice
+    tokens, _ = tokenize(text)
+    assert tokens[0] == CLS and tokens[-1] == SEP
+    for vocab in (Vocab.from_tokens([]), build_vocab([RawExample(text, [])])):
+        ids = vocab.encode(tokens)
+        assert PAD_ID not in ids.tolist()
+    with pytest.raises(CorpusError):
+        Vocab.from_tokens(["[", PAD, "]"])
+
+
 def test_encode_example_pointer_positions():
     text = "丹芍主治头痛。"
     raw = RawExample(text, [RawTriple("丹芍", "treats", "头痛")])
@@ -205,7 +221,7 @@ def test_encode_example_truncation_drops_and_counts():
         ],
     )
     enc = encode_example(raw, _vocab_for(text), default_schema(), max_seq_len=9)
-    assert len(enc.input.input_ids) == 9
+    assert len(enc.input_ids) == 9
     assert enc.dropped_triples == 1
     assert len(enc.subjects) == 1 and enc.subjects[0].span == Span(1, 2)
 
@@ -225,7 +241,7 @@ def test_sample_negatives_pool_rules():
     text = "丹芍主治头痛。"
     raw = RawExample(text, [RawTriple("丹芍", "treats", "头痛")])
     enc = encode_example(raw, _vocab_for(text), default_schema())
-    n = len(enc.input.input_ids)
+    n = len(enc.input_ids)
     sample_negatives(enc, k=1000, rng=Rng(0), max_span=3)
     gold = {s.span for s in enc.subjects}
     seen = set()

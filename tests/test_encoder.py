@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from coex.autograd import Rng, Tensor, grad_check, softmax, tensor, tsum
+from coex.autograd import Rng, Tensor, grad_check, mul, softmax, tensor, tsum
 from coex.data import (
     SynthConfig,
     build_vocab,
@@ -13,8 +13,8 @@ from coex.data import (
     sample_negatives,
 )
 from coex.encoder import (
+    PAD_ID,
     UNIFORM_LOGIT_BOUND,
-    EncodedInput,
     EncoderConfig,
     EncoderParams,
     embed_inputs,
@@ -43,11 +43,9 @@ def small_config(**kw):
     return EncoderConfig(**defaults)
 
 
-def make_input(ids, mask=None):
-    ids = np.asarray(ids)
-    if mask is None:
-        mask = np.ones(len(ids), dtype=np.int64)
-    return EncodedInput(ids, mask, np.zeros(len(ids), dtype=np.int64))
+def make_input(ids):
+    """One sentence as the [1, n] id matrix the encoder takes."""
+    return np.asarray(ids, dtype=np.int64)[None]
 
 
 def test_config_validation():
@@ -83,11 +81,6 @@ def test_init_rejects_empty_vocab():
         init_encoder_params(small_config(vocab_size=0), Rng(0))
 
 
-def test_encoded_input_length_mismatch():
-    with pytest.raises(ValueError):
-        EncodedInput(np.array([1, 2, 3]), np.array([1, 1]), np.array([0, 0, 0]))
-
-
 def test_embed_inputs_is_sum_of_three_tables():
     cfg = small_config()
     params = init_encoder_params(cfg, Rng(1))
@@ -109,6 +102,30 @@ def test_embed_inputs_rejects_long_sequence():
     assert "3" in str(err.value)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_segment_gradient_is_the_row_scatter_bit_for_bit(seed):
+    # every token reads segment row 0, broadcast: its gradient is a sum over
+    # the B·L rows, padding included, and must equal the per-row scatter of
+    # a segment-id lookup bit for bit, -0.0 included
+    cfg = small_config()
+    params = init_encoder_params(cfg, Rng(seed))
+    x = pad_batch([np.array([2, 5, 7, 3]), np.array([2, 9, 4, 6, 8, 1, 10, 3]), np.array([2, 3])])
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((x.size, cfg.model_dim)) * 10.0 ** rng.integers(-6, 6, (x.size, 1))
+    g = g.astype(np.float32)
+    g[rng.random(g.shape) < 0.1] = -0.0
+    g[:, 0] = -0.0  # a column of negative zeros
+    g[:, 1] = 0.0
+    assert np.abs(g[(x == PAD_ID).reshape(-1)]).max() > 0
+    tsum(mul(embed_inputs(x, params, cfg), Tensor(g))).backward()
+    scatter = np.zeros_like(params.segment_emb.data)
+    np.add.at(scatter, np.zeros(x.size, dtype=np.int64), g)
+    got = params.segment_emb.grad
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), scatter.view(np.uint32))
+    assert not got[1].view(np.uint32).any()
+
+
 def test_attention_additive_mask_zeroes_weights_exactly():
     logits = tensor([[2.0, -1e9, 0.5]])
     w = softmax(logits, axis=-1)
@@ -122,7 +139,7 @@ def test_masked_value_rows_cannot_influence_output():
     n = 6
     rng = np.random.default_rng(0)
     base = rng.normal(scale=0.5, size=(n, cfg.model_dim)).astype(np.float32)
-    mask = np.array([1, 1, 1, 1, 0, 0])
+    mask = np.array([[1, 1, 1, 1, 0, 0]])
     out1 = multi_head_attention(Tensor(base), mask, params.layers[0], cfg)
     poked = base.copy()
     poked[4:] += 37.0
@@ -135,7 +152,7 @@ def test_attention_permutation_equivariance_without_positions():
     params = init_encoder_params(cfg, Rng(3))
     rng = np.random.default_rng(1)
     x = rng.normal(scale=0.5, size=(5, cfg.model_dim)).astype(np.float32)
-    mask = np.ones(5, dtype=np.int64)
+    mask = np.ones((1, 5), dtype=bool)
     perm = np.array([3, 0, 4, 1, 2])
     out = multi_head_attention(Tensor(x), mask, params.layers[0], cfg)
     out_p = multi_head_attention(Tensor(x[perm]), mask, params.layers[0], cfg)
@@ -150,7 +167,7 @@ def test_encoder_layer_with_zero_weights_is_double_layer_norm():
         w.data[:] = 0.0
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, cfg.model_dim)).astype(np.float32)
-    out = encoder_layer(Tensor(x), np.ones(4, dtype=np.int64), layer, cfg)
+    out = encoder_layer(Tensor(x), np.ones((1, 4), dtype=bool), layer, cfg)
 
     def ln(v):
         mu = v.mean(axis=-1, keepdims=True)
@@ -187,14 +204,15 @@ def test_encode_shape_and_determinism():
 def test_padded_batch_encodes_each_sentence_as_alone():
     cfg = small_config()
     params = init_encoder_params(cfg, Rng(9))
-    sentences = [make_input([2, 5, 7, 3]), make_input([2, 9, 4, 6, 8, 1, 10, 3]), make_input([2, 3])]
+    sentences = [np.array([2, 5, 7, 3]), np.array([2, 9, 4, 6, 8, 1, 10, 3]), np.array([2, 3])]
     x = pad_batch(sentences)
-    assert x.input_ids.shape == (3, 8)
-    assert x.input_mask.tolist()[2] == [1, 1, 0, 0, 0, 0, 0, 0]
+    assert x.shape == (3, 8) and x.dtype == np.int64
+    assert x.tolist()[2] == [2, 3, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
+    assert (x != PAD_ID).tolist()[2] == [1, 1, 0, 0, 0, 0, 0, 0]
     out = encode(x, params, cfg)
     assert out.shape == (3 * 8, cfg.model_dim)
     for b, s in enumerate(sentences):
-        alone = encode(s, params, cfg)
+        alone = encode(s[None], params, cfg)
         np.testing.assert_allclose(out.data[b * 8 : b * 8 + len(s)], alone.data, atol=1e-6)
 
 
@@ -339,12 +357,12 @@ def test_no_grad_encode_is_bit_identical_on_padded_batch(monkeypatch):
     params = init_encoder_params(cfg, Rng(24))
     _scale_attention(params.layers[0], 1e-20)
     sentences = [
-        make_input([2, 5, 7, 3]),
-        make_input([2, 9, 4, 6, 8, 1, 10, 3]),
-        make_input([2, 6, 3], mask=np.zeros(3, dtype=np.int64)),  # every key masked
+        np.array([2, 5, 7, 3]),
+        np.array([2, 9, 4, 6, 8, 1, 10, 3]),
+        np.full(3, PAD_ID),  # every key masked
     ]
     x = pad_batch(sentences)
-    assert not x.input_mask.all()
+    assert not (x != PAD_ID).all()
     full, frozen, softmaxes = _full_and_frozen_encode(x, params, cfg, calls, monkeypatch)
     assert softmaxes == cfg.num_layers - 1
     assert np.array_equal(full, frozen)

@@ -16,7 +16,7 @@ from coex.data import (
     generate_synthetic_corpus,
     sample_negatives,
 )
-from coex.encoder import EncoderConfig
+from coex.encoder import PAD_ID, EncoderConfig
 from coex.tagger import (
     LossWeighting,
     ModelParams,
@@ -479,7 +479,7 @@ def test_joint_loss_zero_params_span_group_weighting():
     for _, t in params.named_tensors():
         t.data[:] = 0.0
     out = joint_loss(batch, params, cfg, Rng(0), training=False)
-    n_u = int(batch[0].input.input_mask.sum())
+    n_u = int((batch[0].input_ids != PAD_ID).sum())
     cells = n_u * 2 * len(schema)
     expect = LN075  # negatives' sample mean: all-zero labels at score 0.25
     for sub in batch[0].subjects:
@@ -568,8 +568,8 @@ def test_joint_loss_weighting_zero_params_oracle():
 
     r = len(schema)
     ex = batch[0]
-    n = len(ex.input.input_ids)
-    n_u = int(ex.input.input_mask.sum())
+    n = len(ex.input_ids)
+    n_u = int((ex.input_ids != PAD_ID).sum())
     n_neg = len(ex.negative_spans)
     per_gold = 1.0 / (n_u * 2 * r)
     expect = 0.0
@@ -577,7 +577,7 @@ def test_joint_loss_weighting_zero_params_oracle():
         lab = np.concatenate([sub.object_start, sub.object_end], axis=1)
         for j in range(n):
             for k in range(2 * r):
-                if not ex.input.input_mask[j]:
+                if ex.input_ids[j] == PAD_ID:
                     continue
                 if lab[j, k] > 0.5:
                     cls = 60.0
@@ -691,10 +691,10 @@ def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch,
     labels, weights = _dense_relation_arguments(*calls[1])  # the relation head's call
 
     r2 = 2 * len(schema)
-    lengths = [len(ex.input.input_ids) for ex in batch]
+    lengths = [len(ex.input_ids) for ex in batch]
     mask = np.zeros((len(batch), max(lengths)), dtype=weights.dtype)
     for b, n in enumerate(lengths):
-        mask[b, :n] = batch[b].input.input_mask
+        mask[b, :n] = batch[b].input_ids != PAD_ID
     w = mask / (mask.sum(axis=1, keepdims=True) * len(batch))
     pos = 0
     for b, ex in enumerate(batch):
@@ -752,7 +752,7 @@ def _mixed_length_batch(negatives=61, seed=5):
     vocab = build_vocab(corpus + [short])
     schema = default_schema()
     examples = encode_corpus(corpus + [short], vocab, schema, 128)
-    long = max(examples, key=lambda ex: (len(ex.input.input_ids), len(ex.subjects)))
+    long = max(examples, key=lambda ex: (len(ex.input_ids), len(ex.subjects)))
     rng = Rng(seed)
     for ex in (examples[-1], long):
         sample_negatives(ex, negatives, rng)
@@ -763,7 +763,7 @@ def test_batched_joint_loss_matches_per_example_loop():
     from oracles import MaskRecorder, MaskReplay, joint_loss_loop
 
     batch, vocab, schema = _mixed_length_batch()
-    lengths = [len(ex.input.input_ids) for ex in batch]
+    lengths = [len(ex.input_ids) for ex in batch]
     assert lengths[0] == 5 and lengths[1] >= 25 and batch[1].subjects
     cfg = EncoderConfig(vocab_size=len(vocab), model_dim=32, num_heads=4, ffn_dim=48,
                         num_layers=2, max_seq_len=64, dropout_p=0.1)
@@ -826,7 +826,7 @@ def test_joint_loss_gradient_check_on_padded_batch():
 def _solved_model(text, subject_span, relation_idx, object_span, schema):
     """Build a model whose heads are least-squares solved to emit one triple."""
     from coex.data import tokenize
-    from coex.encoder import EncodedInput, encode
+    from coex.encoder import encode
 
     tokens, _ = tokenize(text)
     corpus = [RawExample(text, [])]
@@ -842,8 +842,7 @@ def _solved_model(text, subject_span, relation_idx, object_span, schema):
 
     ids = vocab.encode(tokens)
     n = len(ids)
-    x = EncodedInput(ids, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-    h = encode(x, params.encoder, cfg).data.astype(np.float64)
+    h = encode(ids[None], params.encoder, cfg).data.astype(np.float64)
 
     def solve(features, targets):
         w, *_ = np.linalg.lstsq(features, targets, rcond=None)
