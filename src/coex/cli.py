@@ -25,7 +25,7 @@ from .data import (
     save_schema,
 )
 from .evaluator import benchmark_latency, score_triples
-from .runtime import export_model, infer, load_inference_model, serve
+from .runtime import export_model, load_inference_model, serve
 from .trainer import (
     TrainConfig,
     config_from_dict,
@@ -102,8 +102,8 @@ def _cmd_train(args) -> int:
     schema = load_schema(args.schema) if args.schema else default_schema()
     corpus = load_corpus(args.corpus, schema)
     holdout = args.holdout
-    if holdout >= len(corpus):
-        raise ValueError(f"holdout {holdout} leaves no training sentences")
+    if not 0 <= holdout < len(corpus):
+        raise ValueError(f"holdout {holdout} must lie in [0, {len(corpus)})")
     train_split = corpus[: len(corpus) - holdout] if holdout else corpus
     eval_split = corpus[len(corpus) - holdout :] if holdout else None
 
@@ -143,7 +143,7 @@ def _cmd_extract(args) -> int:
     from .evaluator import triples_to_payload
 
     for text in _iter_texts(args):
-        triples = infer(model, text)
+        triples = model.extract(text)
         print(
             json.dumps(
                 {"text": text, "triples": triples_to_payload(triples)}, ensure_ascii=False
@@ -155,7 +155,7 @@ def _cmd_extract(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_inference_model(args.model)
     corpus = load_corpus(args.corpus)
-    predictions = [infer(model, ex.text) for ex in corpus]
+    predictions = [model.extract(ex.text) for ex in corpus]
     gold = [[(t.subject, t.predicate, t.object) for t in ex.triples] for ex in corpus]
     report = score_triples(predictions, gold)
     print(json.dumps(asdict(report)))
@@ -169,7 +169,7 @@ def _cmd_bench(args) -> int:
     if args.limit:
         texts = texts[: args.limit]
     report = benchmark_latency(
-        lambda text: infer(model, text), texts, iterations=args.iterations, warmup=args.warmup
+        model.extract, texts, iterations=args.iterations, warmup=args.warmup
     )
     row = asdict(report)
     row["latencies_ms"] = list(row["latencies_ms"])

@@ -1,4 +1,4 @@
-"""Character-level tokenization, corpus IO, label encoding, synthetic corpora.
+"""Character-level tokenization, corpus IO, gold span alignment, synthetic corpora.
 
 Corpus files are JSONL: one {"text": ..., "spo_list": [{"subject", "predicate",
 "object", optional "subject_start"/"object_start" char offsets}]} per line.
@@ -199,13 +199,12 @@ def load_schema(path) -> RelationSchema:
 
 @dataclass
 class EncodedExample:
-    """Token ids plus pointer labels; relation labels hang off each subject."""
+    """Token ids plus gold facts as token spans: each gold subject with its
+    (relation, object) pairs."""
 
     text: str
     input_ids: np.ndarray
     char_offsets: list[tuple[int, int]]
-    subject_start: np.ndarray
-    subject_end: np.ndarray
     subjects: list[SubjectAnnotation]
     negative_spans: list[Span] = field(default_factory=list)
     dropped_triples: int = 0
@@ -222,7 +221,7 @@ def _truncate(tokens, offsets, max_seq_len):
 def encode_example(
     raw: RawExample, vocab: Vocab, schema: RelationSchema, max_seq_len: int = 128
 ) -> EncodedExample:
-    """Tokenize and turn gold triples into pointer labels.
+    """Tokenize and align gold triples to token spans.
 
     Entities align by their given char offset when present, otherwise by first
     occurrence in the text; either way the char range must land exactly on
@@ -260,9 +259,6 @@ def encode_example(
             )
         return Span(ts, te)
 
-    r = len(schema)
-    subject_start = np.zeros(n, dtype=np.float32)
-    subject_end = np.zeros(n, dtype=np.float32)
     subjects: dict[Span, SubjectAnnotation] = {}
     dropped = 0
     for t in raw.triples:
@@ -272,25 +268,14 @@ def encode_example(
         if s_span is None or o_span is None:
             dropped += 1
             continue
-        subject_start[s_span.start] = 1.0
-        subject_end[s_span.end] = 1.0
-        ann = subjects.get(s_span)
-        if ann is None:
-            ann = SubjectAnnotation(
-                span=s_span,
-                object_start=np.zeros((n, r), dtype=np.float32),
-                object_end=np.zeros((n, r), dtype=np.float32),
-            )
-            subjects[s_span] = ann
-        ann.object_start[o_span.start, rel] = 1.0
-        ann.object_end[o_span.end, rel] = 1.0
+        objects = subjects.setdefault(s_span, SubjectAnnotation(s_span, [])).objects
+        if (rel, o_span) not in objects:
+            objects.append((rel, o_span))
 
     return EncodedExample(
         text=raw.text,
         input_ids=vocab.encode(tokens),
         char_offsets=offsets,
-        subject_start=subject_start,
-        subject_end=subject_end,
         subjects=list(subjects.values()),
         dropped_triples=dropped,
     )
@@ -380,9 +365,11 @@ _CLOSED_OBJECTS = {
     "contraindication": ("孕妇", "体虚者", "积滞者", "幼儿"),
 }
 
-# clause rendered as prefix + object + suffix; composition/preparation take
+# clause rendered as prefix + objects + suffix; composition/preparation take
 # lists; trigger phrases carry anchor characters unique to their relation
 _CLAUSES = {
+    "composition": ("的成分包括", ""),
+    "preparation": ("可制成", ""),
     "storage": ("存放在", ""),
     "efficacy": ("具有", "之效"),
     "treats": ("主治", ""),
@@ -400,7 +387,7 @@ _CLAUSES = {
 }
 
 _LIST_PREDICATES = ("composition", "preparation")
-_SINGLE_PREDICATES = tuple(_CLAUSES)
+_SINGLE_PREDICATES = tuple(p for p in _CLAUSES if p not in _LIST_PREDICATES)
 
 
 @dataclass
@@ -454,6 +441,22 @@ def _object_for(pred: str, rng: Rng) -> str:
     return _pick(rng, _CLOSED_OBJECTS[pred])
 
 
+def _clause(b: _Builder, pred: str, *objs: str) -> list[int]:
+    """Render pred's clause over objs, listed as a、b和c; return each
+    object's char offset."""
+    prefix, suffix = _CLAUSES[pred]
+    b.add(prefix)
+    at = []
+    for i, o in enumerate(objs):
+        at.append(b.add(o))
+        if i < len(objs) - 2:
+            b.add("、")
+        elif i == len(objs) - 2:
+            b.add("和")
+    b.add(suffix)
+    return at
+
+
 def _distinct(rng: Rng, make, taken: set[str], tries: int = 30) -> str:
     for _ in range(tries):
         cand = make(rng)
@@ -492,13 +495,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> list[RawExample]:
             count = int(rng.integers(2, 5))
             objs = [_distinct(rng, lambda r: _object_for(pred, r), taken) for _ in range(count)]
             s_at = b.add(subject)
-            b.add("的成分包括" if pred == "composition" else "可制成")
-            for i, o in enumerate(objs):
-                o_at = b.add(o)
-                if i < count - 2:
-                    b.add("、")
-                elif i == count - 2:
-                    b.add("和")
+            for o, o_at in zip(objs, _clause(b, pred, *objs)):
                 triples.append(RawTriple(subject, pred, o, s_at, o_at))
             b.add("。")
         elif kind == 1:
@@ -509,10 +506,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> list[RawExample]:
             for i, pi in enumerate(picks):
                 pred = _SINGLE_PREDICATES[int(pi)]
                 obj = _distinct(rng, lambda r: _object_for(pred, r), taken)
-                prefix, suffix = _CLAUSES[pred]
-                b.add(prefix)
-                o_at = b.add(obj)
-                b.add(suffix)
+                [o_at] = _clause(b, pred, obj)
                 b.add("," if i < count - 1 else "。")
                 triples.append(RawTriple(subject, pred, obj, s_at, o_at))
         elif kind == 2:
@@ -520,14 +514,11 @@ def generate_synthetic_corpus(config: SynthConfig) -> list[RawExample]:
             other = _distinct(rng, lambda r: _pick(r, _HERB_NAMES), taken)
             pred = _pick(rng, _SINGLE_PREDICATES)
             obj = _distinct(rng, lambda r: _object_for(pred, r), taken)
-            prefix, suffix = _CLAUSES[pred]
             s1_at = b.add(subject)
             b.add("和")
             s2_at = b.add(other)
             b.add("均")
-            b.add(prefix)
-            o_at = b.add(obj)
-            b.add(suffix)
+            [o_at] = _clause(b, pred, obj)
             b.add("。")
             triples.append(RawTriple(subject, pred, obj, s1_at, o_at))
             triples.append(RawTriple(other, pred, obj, s2_at, o_at))
@@ -536,14 +527,7 @@ def generate_synthetic_corpus(config: SynthConfig) -> list[RawExample]:
             pred = _pick(rng, _SINGLE_PREDICATES + _LIST_PREDICATES)
             obj = _distinct(rng, lambda r: _object_for(pred, r), taken)
             s_at = b.add(subject)
-            if pred in _LIST_PREDICATES:
-                b.add("的成分包括" if pred == "composition" else "可制成")
-                o_at = b.add(obj)
-            else:
-                prefix, suffix = _CLAUSES[pred]
-                b.add(prefix)
-                o_at = b.add(obj)
-                b.add(suffix)
+            [o_at] = _clause(b, pred, obj)
             b.add("。")
             triples.append(RawTriple(subject, pred, obj, s_at, o_at))
         corpus.append(RawExample(text=b.text(), triples=triples))

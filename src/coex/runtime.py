@@ -60,7 +60,10 @@ class InferenceModel:
     model_version: str
 
     def extract(self, text: str) -> list[Triple]:
-        return infer(self, text)
+        """Deterministic extraction; equals the training forward with dropout off."""
+        return extract_triples(
+            text, self.params, self.config, self.vocab, self.schema, self.threshold
+        )
 
     def truncates(self, text: str) -> bool:
         tokens, _ = tokenize(text)
@@ -119,13 +122,6 @@ def load_inference_model(path) -> InferenceModel:
             f"tensor payload fingerprint {model.model_version} != declared {declared}"
         )
     return model
-
-
-def infer(model: InferenceModel, text: str) -> list[Triple]:
-    """Deterministic extraction; equals the training forward with dropout off."""
-    return extract_triples(
-        text, model.params, model.config, model.vocab, model.schema, model.threshold
-    )
 
 
 # ---------------------------------------------------------------------------

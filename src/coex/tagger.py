@@ -356,34 +356,28 @@ def _pack_span_blocks(
 
 def pointer_bce(
     logits: Tensor,
+    rows: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    divisor: float,
-    rows: np.ndarray | None = None,
-    row_weights: np.ndarray | None = None,
+    row_weights: np.ndarray,
 ) -> Tensor:
-    """Weighted sum of squared-sigmoid BCE terms over divisor, fused with the logits.
+    """Weighted sum of squared-sigmoid BCE terms, fused with the logits.
 
-    With divisor = the weight total this is the weighted mean, equal to the
-    unfused BCE of square(sigmoid(logits)) away from its clip rails; with
-    divisor = 1.0 the caller encodes per-group normalizers in the weights.
-    Fusion keeps it exact under float32 saturation: the per-entry gradient is
-    the bounded closed form -2y(1-s) + (1-y)*2s^2/(1+s) with s = sigmoid(logit).
+    labels and weights (broadcast to labels) cover the gold rows
+    logits[rows] only. Every other row is all label 0 and weighs
+    row_weights [P, 1]; it pays only for the label-0 term, and the full
+    two-label form runs on the gold rows alone, whose results overwrite the
+    same cells. Loss and gradient equal, bit for bit, the two-label form on
+    every row with the gold rows' labels and weights filled in, for any
+    finite logits. Normalizers live in the weights.
 
-    labels and weights (broadcast to labels) cover every row of logits, or,
-    when rows is given, only logits[rows]. Every other row is all label 0 and
-    weighs row_weights [P, 1]; it pays only for the label-0 term, and the full
-    two-label form runs on the given rows alone, whose results overwrite the
-    same cells. Loss and gradient equal, bit for bit, the dense call with
-    those rows' labels and weights filled in, for any finite logits.
+    Away from its clip rails this equals the unfused BCE of
+    square(sigmoid(logits)). Fusion keeps it exact under float32 saturation:
+    the per-entry gradient is the bounded closed form
+    -2y(1-s) + (1-y)*2s^2/(1+s) with s = sigmoid(logit).
     """
-    if divisor <= 0.0:
-        raise ValueError(f"pointer_bce: divisor must be positive, got {divisor}")
-    if (rows is None) != (row_weights is None):
-        raise ValueError("pointer_bce: rows and row_weights go together")
     z = logits.data
-    given = slice(None) if rows is None else rows
-    zg = z[given]
+    zg = z[rows]
     labels = np.asarray(labels, dtype=z.dtype)
     if labels.shape != zg.shape:
         raise ValueError(f"pointer_bce: labels {labels.shape} for logit rows {zg.shape}")
@@ -392,29 +386,25 @@ def pointer_bce(
     # softplus(x) = log1p(exp(-|x|)) + max(x, 0), and |-z| = |z|:
     # -log(s^2) = 2*softplus(-z); -log(1-s^2) = softplus(z) - log1p(s)
     np.log1p(soft, out=soft)
-    label1 = soft[given] + np.maximum(-zg, 0.0)
+    label1 = soft[rows] + np.maximum(-zg, 0.0)
     per = np.maximum(z, 0.0)
     per += soft
     per -= np.log1p(sig, out=soft)
-    per_g = labels * 2.0 * label1 + (1.0 - labels) * per[given]
+    per_g = labels * 2.0 * label1 + (1.0 - labels) * per[rows]
     per_g *= weights
-    if row_weights is not None:
-        per *= row_weights
-    per[given] = per_g
-    out = np.asarray(per.sum() / divisor, dtype=z.dtype)
+    per *= row_weights
+    per[rows] = per_g
+    out = np.asarray(per.sum(), dtype=z.dtype)
 
     def back(g):
-        # the label-0 form 2s^2/(1+s) everywhere, then the two-label form on the given rows
+        # the label-0 form 2s^2/(1+s) everywhere, then the two-label form on the gold rows
         dz = sig * 2.0
         dz *= sig
         dz /= sig + 1.0
-        if row_weights is not None:
-            dz *= g * row_weights
-            if divisor != 1.0:
-                dz /= divisor
-        sg = sig[given]
+        dz *= g * row_weights
+        sg = sig[rows]
         dz_g = -2.0 * labels * (1.0 - sg) + (1.0 - labels) * 2.0 * sg * sg / (1.0 + sg)
-        dz[given] = g * weights * dz_g / divisor
+        dz[rows] = g * weights * dz_g
         return (dz,)
 
     return _make(out, (logits,), back)
@@ -422,11 +412,10 @@ def pointer_bce(
 
 @dataclass
 class SubjectAnnotation:
-    """Gold subject span with its per-relation object pointer labels."""
+    """Gold subject span with its gold (relation index, object span) pairs."""
 
     span: Span
-    object_start: np.ndarray  # [n, R]
-    object_end: np.ndarray  # [n, R]
+    objects: list[tuple[int, Span]]
 
 
 @dataclass
@@ -507,10 +496,12 @@ def joint_loss(
     head, every conditioning span packed into one relation-head call, and one
     pointer_bce per head. Each dropout site draws one keep mask on the padded
     [B·L, d] rows, straight from rng. The relation head's input rows share one
-    mask, and each span mean averages those dropped rows. The relation
-    pointer_bce gets one weight per packed row, and labels and cell weights
-    for the gold span blocks' rows only, so no dense [Σ s·n, 2R] label or
-    weight array is built.
+    mask, and each span mean averages those dropped rows.
+
+    joint_loss alone turns the examples' gold spans into pointer labels. Each
+    pointer_bce gets one weight per row, and labels and weights for its gold
+    rows only: the subject rows that hold a gold start or end, and the rows of
+    the gold span blocks. No dense [B·L, 2] or [Σ s·n, 2R] label array is built.
     """
     if not batch:
         raise ValueError("joint_loss: empty batch")
@@ -518,12 +509,6 @@ def joint_loss(
     dtype = params.encoder.token_emb.dtype
     lengths = [len(ex.input_ids) for ex in batch]
     spans = [[sub.span for sub in ex.subjects] + list(ex.negative_spans) for ex in batch]
-    for ex, n in zip(batch, lengths):
-        if len(ex.subject_start) != n or len(ex.subject_end) != n:
-            raise ValueError(f"subject labels length {len(ex.subject_start)} != tokens {n}")
-        for sub in ex.subjects:
-            if sub.object_start.shape != (n, r) or sub.object_end.shape != (n, r):
-                raise ValueError(f"object labels shape {sub.object_start.shape} != ({n}, {r})")
     ids = pad_batch([ex.input_ids for ex in batch])
     width = ids.shape[1]
     hidden = encode(ids, params.encoder, config, training, rng)
@@ -534,13 +519,16 @@ def joint_loss(
         raise ValueError("joint_loss: an example has no unmasked position")
     w /= unmasked * len(batch)
     s_logits = subject_scores(hidden, params, config.dropout_p, training, rng)
-    s_labels = np.zeros((len(batch), width, 2), dtype=dtype)
+    # the subject head's gold rows: those that hold a gold start or end pointer
+    s_gold: dict[int, list[float]] = {}
     for b, ex in enumerate(batch):
-        s_labels[b, : lengths[b], 0] = ex.subject_start
-        s_labels[b, : lengths[b], 1] = ex.subject_end
-    l_subject = pointer_bce(
-        s_logits, s_labels.reshape(-1, 2), (w / 2).reshape(-1, 1), 1.0
-    )
+        for sub in ex.subjects:
+            s_gold.setdefault(b * width + sub.span.start, [0.0, 0.0])[0] = 1.0
+            s_gold.setdefault(b * width + sub.span.end, [0.0, 0.0])[1] = 1.0
+    s_rows = np.array(sorted(s_gold), dtype=np.intp)
+    s_labels = np.array([s_gold[i] for i in s_rows], dtype=dtype).reshape(-1, 2)
+    half = (w / 2).reshape(-1, 1)
+    l_subject = pointer_bce(s_logits, s_rows, s_labels, half[s_rows], half)
 
     # relation rows packed as relation_object_scores packs them: per example,
     # one block of its n rows per span, gold spans first. Every row weighs its
@@ -548,7 +536,7 @@ def joint_loss(
     # because a negative block's labels are all 0 and its boosts all 1.
     row_weights = np.empty((sum(len(ss) * n for ss, n in zip(spans, lengths)), 1), dtype=dtype)
     n_gold = sum(len(ex.subjects) * n for ex, n in zip(batch, lengths))
-    labels = np.empty((n_gold, 2 * r), dtype=dtype)
+    labels = np.zeros((n_gold, 2 * r), dtype=dtype)
     weights = np.empty_like(labels)
     rows = np.empty(n_gold, dtype=np.intp)
     pos = at = 0
@@ -562,8 +550,8 @@ def joint_loss(
         row_weights[pos : pos + s * n] = base.reshape(s * n, 1)
         lab = labels[at : at + g * n].reshape(g, n, 2 * r)
         for i, sub in enumerate(ex.subjects):
-            lab[i, :, :r] = sub.object_start
-            lab[i, :, r:] = sub.object_end
+            for rel, o in sub.objects:
+                lab[i, o.start, rel] = lab[i, o.end, r + rel] = 1.0
         cells = weights[at : at + g * n].reshape(g, n, 2 * r)
         cells[...] = relation_cell_weights(lab, base[:g], weighting)
         rows[at : at + g * n] = np.arange(pos, pos + g * n)
@@ -573,7 +561,7 @@ def joint_loss(
         h = dropout(hidden, config.dropout_p, training, rng)
         means = condition_on_spans(h, spans, lengths)
         r_logits = relation_object_scores(h, means, spans, lengths, params)
-        l_relation = pointer_bce(r_logits, labels, weights, 1.0, rows, row_weights)
+        l_relation = pointer_bce(r_logits, rows, labels, weights, row_weights)
     else:
         l_relation = Tensor(np.asarray(0.0, dtype=dtype))
     return LossParts(

@@ -1,14 +1,16 @@
 """Reference implementations that only the tests use.
 
 bce_mean is the unfused weighted-mean BCE that pointer_bce is checked
-against; triples_from_labels decodes gold pointer labels back into triples;
+against; triples_from_labels writes the gold spans as pointer labels and
+decodes them back into triples;
 spans_loop and objects_by_column are the per-start, per-relation decode that
 the one-pass decode_spans and decode_objects are checked against;
 subnormal_count counts float32 subnormals independently of the trainer;
-joint_loss_loop is the per-example cascade loss that the batched joint_loss
-is checked against, and MaskRecorder/MaskReplay hand both the same dropout
-masks; relation_logits_ref and extract_triples_per_subject are the relation
-head written unfactorized, (h + m_s)·W + b one span at a time;
+joint_loss_loop is the per-example cascade loss, with dense labels on
+every row, that the batched joint_loss is checked against, and
+MaskRecorder/MaskReplay hand both the same dropout masks;
+relation_logits_ref and extract_triples_per_subject are the relation head
+written unfactorized, (h + m_s)·W + b one span at a time;
 layer_norm_ref and softmax_ref are the forwards that layer_norm and softmax
 must equal bit for bit; sigmoid_where, pointer_bce_dense and adagrad_step_ref
 are the sign-selected sigmoid, the dense pointer BCE and the out-of-place
@@ -36,7 +38,6 @@ from coex.tagger import (
     decode_objects,
     decode_spans,
     decode_subject_spans,
-    pointer_bce,
     relation_cell_weights,
     relation_object_scores,
     subject_scores,
@@ -93,8 +94,17 @@ def subnormal_count(arrays) -> int:
     return sum(int(np.count_nonzero((np.abs(a) > 0) & (np.abs(a) < tiny))) for a in arrays)
 
 
+def object_labels(sub, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A gold subject's [n, R] object start and end pointer labels."""
+    start, end = np.zeros((n, r), dtype=np.float32), np.zeros((n, r), dtype=np.float32)
+    for rel, o_span in sub.objects:
+        start[o_span.start, rel] = end[o_span.end, rel] = 1.0
+    return start, end
+
+
 def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
-    """Decode gold pointer labels back into triples (threshold semantics)."""
+    """Write the gold spans as pointer labels and decode them back into
+    triples (threshold semantics)."""
     mask = content_mask(ex.input_ids, CLS_ID, SEP_ID)
 
     def surface(span: Span) -> str:
@@ -103,8 +113,9 @@ def triples_from_labels(ex, schema: RelationSchema) -> list[Triple]:
     triples = []
     seen = set()
     for sub in ex.subjects:
+        start, end = object_labels(sub, len(ex.input_ids), len(schema))
         for rel in range(len(schema)):
-            for o_span in decode_spans(sub.object_start[:, rel], sub.object_end[:, rel], mask):
+            for o_span in decode_spans(start[:, rel], end[:, rel], mask):
                 t = Triple(
                     subject=surface(sub.span),
                     predicate=schema.predicates[rel],
@@ -164,8 +175,10 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         n_unmasked = float(w.sum())
 
         s_logits = subject_scores(hidden, params, config.dropout_p, training, rng)
-        s_labels = np.stack([ex.subject_start, ex.subject_end], axis=1).astype(dtype)
-        subject_terms.append(pointer_bce(s_logits, s_labels, w, 2 * n_unmasked))
+        s_labels = np.zeros((n, 2), dtype=dtype)
+        for sub in ex.subjects:
+            s_labels[sub.span.start, 0] = s_labels[sub.span.end, 1] = 1.0
+        subject_terms.append(pointer_bce_dense(s_logits, s_labels, w / (2 * n_unmasked)))
 
         h_rel = dropout(hidden, config.dropout_p, training, rng)
         spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
@@ -173,8 +186,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
             continue
         labels = np.zeros((len(spans), n, 2 * r), dtype=dtype)
         for i, sub in enumerate(ex.subjects):
-            labels[i, :, :r] = sub.object_start
-            labels[i, :, r:] = sub.object_end
+            labels[i, :, :r], labels[i, :, r:] = object_labels(sub, n, r)
         means = condition_on_spans(h_rel, [spans], [n])
         r_logits = relation_object_scores(h_rel, means, [spans], [n], params)
         n_gold = len(ex.subjects)
@@ -189,7 +201,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
                 labels, rw.reshape(len(spans), n, 1), weighting
             ).reshape(len(spans) * n, 2 * r)
         relation_terms.append(
-            pointer_bce(r_logits, labels.reshape(len(spans) * n, 2 * r), rw, 1.0)
+            pointer_bce_dense(r_logits, labels.reshape(len(spans) * n, 2 * r), rw)
         )
 
     def average(terms):
@@ -294,7 +306,7 @@ def squared_score(logits: np.ndarray) -> np.ndarray:
     return s * s
 
 
-def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray, divisor: float) -> Tensor:
+def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     """pointer_bce with every cell's label and weight given: both label terms
     evaluated on every cell, out of place."""
     z = logits.data
@@ -306,11 +318,11 @@ def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray, d
     per = labels * 2.0 * (soft + np.maximum(-z, 0.0)) + (1.0 - labels) * (
         soft + np.maximum(z, 0.0) - np.log1p(sig)
     )
-    out = np.asarray((per * weights).sum() / divisor, dtype=z.dtype)
+    out = np.asarray((per * weights).sum(), dtype=z.dtype)
 
     def back(g):
         dz = -2.0 * labels * (1.0 - sig) + (1.0 - labels) * 2.0 * sig * sig / (1.0 + sig)
-        return (g * weights * dz / divisor,)
+        return (g * weights * dz,)
 
     return _make(out, (logits,), back)
 

@@ -33,7 +33,7 @@ from coex.data import (
 )
 from coex.encoder import EncoderConfig, encode
 from coex.evaluator import f1, score_triples, t_test, triples_to_payload
-from coex.runtime import create_server, export_model, infer, load_inference_model
+from coex.runtime import create_server, export_model, load_inference_model
 from coex.tagger import (
     RelationSchema,
     Span,
@@ -117,7 +117,7 @@ def test_criterion_02_f1_internal_consistency():
 
 
 def test_criterion_03_synthetic_headline_f1(big_run):
-    preds = [infer(big_run.model, ex.text) for ex in big_run.holdout]
+    preds = [big_run.model.extract(ex.text) for ex in big_run.holdout]
     gold = [[(t.subject, t.predicate, t.object) for t in ex.triples] for ex in big_run.holdout]
     report = score_triples(preds, gold)
     ok = report.f1 >= 0.95 and big_run.minutes <= 15.0
@@ -184,7 +184,7 @@ def test_criterion_05_label_decode_round_trip():
 def test_criterion_06_overlap_recall(big_run):
     overlapping = [ex for ex in big_run.holdout if has_overlap(ex)]
     assert overlapping, "held-out split contains no overlapping sentences"
-    preds = [infer(big_run.model, ex.text) for ex in overlapping]
+    preds = [big_run.model.extract(ex.text) for ex in overlapping]
     gold = [[(t.subject, t.predicate, t.object) for t in ex.triples] for ex in overlapping]
     report = score_triples(preds, gold)
     ok = report.recall >= 0.90
@@ -219,7 +219,7 @@ def test_criterion_07_determinism_and_serialization(big_run, tmp_path):
     texts = [ex.text for ex in big_run.holdout[:100]]
     loaded = load_inference_model(again)
     parity = all(
-        infer(loaded, text)
+        loaded.extract(text)
         == extract_triples(
             text, big_run.best, big_run.config.encoder, big_run.result.vocab,
             big_run.schema, big_run.config.threshold,
@@ -338,7 +338,7 @@ def test_criterion_10_service_contract(big_run, tmp_path, capsys):
     req_sizes = resp_sizes = 0
     for ex in big_run.holdout[:5]:
         req_sizes += len(json.dumps({"text": ex.text}, ensure_ascii=False).encode("utf-8"))
-        payload = {"triples": triples_to_payload(infer(big_run.model, ex.text))}
+        payload = {"triples": triples_to_payload(big_run.model.extract(ex.text))}
         resp_sizes += len(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
     bytes_ok = (
         row["mean_request_bytes"] == req_sizes / 5

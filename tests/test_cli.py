@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from coex.cli import build_parser, main, resolve_train_config
-from coex.runtime import infer, load_inference_model
+from coex.runtime import load_inference_model
 from coex.trainer import TrainConfig
 
 TINY_CONFIG = {
@@ -103,6 +103,18 @@ def trained(tmp_path_factory):
     return root, corpus, out_dir
 
 
+@pytest.mark.parametrize("holdout", ["-3", "40"])
+def test_train_rejects_holdout_outside_the_corpus(trained, tmp_path, capsys, holdout):
+    # 40 sentences: a negative holdout or one that leaves nothing to train on
+    root, corpus, _ = trained
+    out_dir = tmp_path / "run"
+    args = ["train", "--corpus", str(corpus), "--out-dir", str(out_dir),
+            "--config", str(root / "cfg.json"), "--holdout", holdout, "--quiet"]
+    assert main(args) == 1
+    assert "error: holdout" in capsys.readouterr().err
+    assert not (out_dir / "model.bin").exists()
+
+
 def test_train_outputs(trained, capsys):
     _, _, out_dir = trained
     for name in ("model.bin", "checkpoint.bin", "vocab.txt", "schema.json", "metrics.jsonl"):
@@ -187,7 +199,7 @@ def test_export_round_trip(trained, tmp_path, capsys):
     assert model.schema.predicates == trained_model.schema.predicates
     # the bundle carries the final-epoch weights, which may differ from the
     # best-epoch snapshot in model.bin; it still must load and extract
-    assert isinstance(infer(model, "苦参产自川西。"), list)
+    assert isinstance(model.extract("苦参产自川西。"), list)
 
 
 def test_missing_model_is_a_diagnostic_not_a_crash(tmp_path, capsys):

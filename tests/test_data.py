@@ -154,14 +154,10 @@ def test_encode_example_pointer_positions():
     raw = RawExample(text, [RawTriple("丹芍", "treats", "头痛")])
     enc = encode_example(raw, _vocab_for(text), default_schema())
     # tokens: [CLS] 丹 芍 主 治 头 痛 。 [SEP]
-    assert enc.subject_start.tolist() == [0, 1, 0, 0, 0, 0, 0, 0, 0]
-    assert enc.subject_end.tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0]
     assert len(enc.subjects) == 1
     sub = enc.subjects[0]
     assert sub.span == Span(1, 2)
-    rel = default_schema().index("treats")
-    assert sub.object_start[5, rel] == 1.0 and sub.object_end[6, rel] == 1.0
-    assert sub.object_start.sum() == 1.0 and sub.object_end.sum() == 1.0
+    assert sub.objects == [(default_schema().index("treats"), Span(5, 6))]
     assert enc.dropped_triples == 0
 
 
@@ -233,8 +229,11 @@ def test_encode_example_merges_shared_subject():
         [RawTriple("丹芍", "treats", "头痛"), RawTriple("丹芍", "origin", "山谷")],
     )
     enc = encode_example(raw, _vocab_for(text), default_schema())
+    schema = default_schema()
     assert len(enc.subjects) == 1
-    assert enc.subjects[0].object_start.sum() == 2.0
+    assert enc.subjects[0].objects == [
+        (schema.index("treats"), Span(5, 6)), (schema.index("origin"), Span(10, 11))
+    ]
 
 
 def test_sample_negatives_pool_rules():

@@ -30,7 +30,6 @@ from coex.runtime import (
     _close_with_self_byte_count,
     create_server,
     export_model,
-    infer,
     inference_model,
     load_inference_model,
     model_fingerprint,
@@ -65,9 +64,9 @@ def test_inference_model_freezes_and_is_deterministic():
     model = inference_model(params, cfg, vocab, schema)
     assert all(not t.requires_grad for _, t in model.params.named_tensors())
     text = corpus[0].text
-    first = infer(model, text)
+    first = model.extract(text)
     for _ in range(3):
-        assert infer(model, text) == first
+        assert model.extract(text) == first
 
 
 def test_inference_model_drops_gradients_left_by_training():
@@ -88,13 +87,13 @@ def test_infer_matches_library_extraction():
         for ex in corpus[:10]
     ]
     model = inference_model(params, cfg, vocab, schema)
-    assert [infer(model, ex.text) for ex in corpus[:10]] == direct
+    assert [model.extract(ex.text) for ex in corpus[:10]] == direct
 
 
 def test_infer_empty_text():
     _, vocab, schema, cfg, params = small_setup()
     model = inference_model(params, cfg, vocab, schema)
-    assert infer(model, "") == []
+    assert model.extract("") == []
 
 
 def test_export_load_round_trip(tmp_path):
@@ -107,7 +106,7 @@ def test_export_load_round_trip(tmp_path):
     assert model.threshold == cfg.threshold
     assert model.model_version == model_fingerprint(params)
     for ex in corpus[:20]:
-        assert infer(model, ex.text) == extract_triples(
+        assert model.extract(ex.text) == extract_triples(
             ex.text, params, cfg.encoder, vocab, schema, cfg.threshold
         )
 
@@ -132,7 +131,7 @@ def test_export_flushes_subnormal_weights(tmp_path):
     model = load_inference_model(path)
     assert model.model_version == header["model_version"]
     texts = [ex.text for ex in corpus[:20]]
-    served = [infer(model, text) for text in texts]
+    served = [model.extract(text) for text in texts]
     assert any(served)
     assert served == [
         extract_triples(text, params, cfg.encoder, vocab, schema, cfg.threshold) for text in texts
@@ -266,7 +265,7 @@ def test_extract_contract(served):
             "subject_span": [t.subject_span.start, t.subject_span.end],
             "object_span": [t.object_span.start, t.object_span.end],
         }
-        for t in infer(model, text)
+        for t in model.extract(text)
     ]
     assert obj["triples"] == want
     assert list(obj) == [

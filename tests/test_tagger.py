@@ -37,10 +37,16 @@ from coex.tagger import (
     relation_object_scores,
     subject_scores,
 )
-from oracles import bce_mean, objects_by_column, spans_loop, squared_score
+from oracles import bce_mean, object_labels, objects_by_column, spans_loop, squared_score
 
 LN075 = -math.log(0.75)  # BCE of a 0.25 score against a zero label
 ON = 3.0  # a pointer logit whose squared score, 0.91, reaches the default 0.5
+
+
+def bce_every_row(logits, labels, weights):
+    """pointer_bce with every row of logits given as a gold row."""
+    rows = np.arange(logits.shape[0])
+    return pointer_bce(logits, rows, labels, weights, np.zeros((len(rows), 1), dtype=logits.dtype))
 
 
 def small_config(**kw):
@@ -301,7 +307,7 @@ def test_relation_head_gradient_check():
         def f(ps):
             means = condition_on_spans(ps[0], spans, lengths)
             ro = relation_object_scores(ps[0], means, spans, lengths, head)
-            return pointer_bce(ro, labels, weights, 1.0)
+            return bce_every_row(ro, labels, weights)
 
         errors[dtype] = grad_check(f, [hidden, head.relation_w, head.relation_b], eps=eps)
     assert errors[np.float32] <= 1e-3 and errors[np.float64] <= 1e-6, errors
@@ -365,7 +371,7 @@ def test_pointer_bce_matches_unfused_form():
     a = bce_mean(sq(sg(za)), labels, weights)
     a.backward()
     zb = Tensor(z_data.copy(), requires_grad=True)
-    b = pointer_bce(zb, labels, weights, 12.0)  # 4 unmasked rows x 3 columns
+    b = bce_every_row(zb, labels, weights / 12.0)  # 4 unmasked rows x 3 columns
     b.backward()
     assert b.item() == pytest.approx(a.item(), rel=1e-12)
     np.testing.assert_allclose(zb.grad, za.grad, atol=1e-12)
@@ -373,30 +379,12 @@ def test_pointer_bce_matches_unfused_form():
 
 def test_pointer_bce_hand_values_at_zero_logits():
     labels = np.zeros((2, 2))
-    out = pointer_bce(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, np.ones((2, 1)), 4.0)
+    quarter = np.full((2, 1), 0.25)
+    out = bce_every_row(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, quarter)
     assert out.item() == pytest.approx(LN075, rel=1e-6)
     labels[1, 1] = 1.0
-    out2 = pointer_bce(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, np.ones((2, 1)), 4.0)
+    out2 = bce_every_row(tensor([[0.0, 0.0], [0.0, 0.0]]), labels, quarter)
     assert out2.item() == pytest.approx((3 * LN075 + math.log(4.0)) / 4, rel=1e-6)
-    for divisor in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            pointer_bce(tensor([[0.0]]), np.zeros((1, 1)), np.zeros((1, 1)), divisor)
-
-
-def test_pointer_bce_divisor_scales_loss_and_gradient():
-    rng = Rng(16)
-    z_data = rng.uniform(-3, 3, (4, 2), dtype=np.float32)
-    labels = (np.arange(8).reshape(4, 2) % 3 == 0).astype(np.float32)
-    weights = np.array([[0.5], [2.0], [0.0], [1.0]], dtype=np.float32)
-    za = Tensor(z_data.copy(), requires_grad=True)
-    total = pointer_bce(za, labels, weights, 1.0)
-    total.backward()
-    zb = Tensor(z_data.copy(), requires_grad=True)
-    mean = pointer_bce(zb, labels, weights, 7.0)  # the weight total over 4x2 cells
-    mean.backward()
-    assert mean.item() == pytest.approx(total.item() / 7.0, rel=1e-6)
-    np.testing.assert_allclose(zb.grad, za.grad / 7.0, rtol=1e-6)
-    np.testing.assert_array_equal(za.grad[2], 0.0)
 
 
 def test_pointer_bce_saturated_logits_keep_gradient():
@@ -404,7 +392,7 @@ def test_pointer_bce_saturated_logits_keep_gradient():
     # still push back with the full-strength bounded gradient
     z = Tensor(np.array([[-50.0], [50.0]], dtype=np.float32), requires_grad=True)
     labels = np.array([[1.0], [0.0]])
-    out = pointer_bce(z, labels, np.ones((2, 1)), 2.0)
+    out = bce_every_row(z, labels, np.full((2, 1), 0.5))
     assert math.isfinite(out.item())
     # -ln(sig(-50)^2) = 100; -ln(1 - sig(50)^2) = 50 - ln 2
     assert out.item() == pytest.approx((100.0 + 50.0 - math.log(2.0)) / 2, rel=1e-5)
@@ -420,7 +408,7 @@ def test_pointer_bce_gradient_check():
     weights = np.array([[1.0], [0.0], [1.0], [1.0]])
 
     def f(params):
-        return pointer_bce(params[0], labels, weights, 9.0)
+        return bce_every_row(params[0], labels, weights / 9.0)
 
     assert grad_check(f, [raw], eps=1e-6) <= 1e-6
 
@@ -483,7 +471,8 @@ def test_joint_loss_zero_params_span_group_weighting():
     cells = n_u * 2 * len(schema)
     expect = LN075  # negatives' sample mean: all-zero labels at score 0.25
     for sub in batch[0].subjects:
-        pos = int(np.count_nonzero(sub.object_start)) + int(np.count_nonzero(sub.object_end))
+        start, end = object_labels(sub, len(batch[0].input_ids), len(schema))
+        pos = int(np.count_nonzero(start)) + int(np.count_nonzero(end))
         expect += ((cells - pos) * LN075 + pos * math.log(4.0)) / cells
     assert out.relation == pytest.approx(expect, rel=1e-5)
 
@@ -574,7 +563,7 @@ def test_joint_loss_weighting_zero_params_oracle():
     per_gold = 1.0 / (n_u * 2 * r)
     expect = 0.0
     for sub in ex.subjects:
-        lab = np.concatenate([sub.object_start, sub.object_end], axis=1)
+        lab = np.concatenate(object_labels(sub, n, r), axis=1)
         for j in range(n):
             for k in range(2 * r):
                 if ex.input_ids[j] == PAD_ID:
@@ -611,15 +600,15 @@ def _record_pointer_bce(monkeypatch) -> list[tuple]:
     calls = []
     real = tagger_module.pointer_bce
 
-    def recording(logits, labels, weights, divisor, rows=None, row_weights=None):
-        calls.append((logits, labels, weights, divisor, rows, row_weights))
-        return real(logits, labels, weights, divisor, rows, row_weights)
+    def recording(logits, rows, labels, weights, row_weights):
+        calls.append((logits, rows, labels, weights, row_weights))
+        return real(logits, rows, labels, weights, row_weights)
 
     monkeypatch.setattr(tagger_module, "pointer_bce", recording)
     return calls
 
 
-def _dense_relation_arguments(logits, labels, weights, divisor, rows, row_weights):
+def _dense_arguments(logits, rows, labels, weights, row_weights):
     """The [P, C] labels and cell weights a pointer_bce call with gold rows
     stands for: its row weights everywhere, its labels and weights on rows."""
     dense_labels = np.zeros(logits.shape, dtype=labels.dtype)
@@ -647,33 +636,27 @@ def test_pointer_bce_gold_rows_equal_dense_oracle(monkeypatch, weighting, dtype)
     params = init_model_params(cfg, len(schema), Rng(13), dtype=dtype)
     calls = _record_pointer_bce(monkeypatch)
     joint_loss(batch, params, cfg, None, training=False, weighting=weighting)
-    subject, relation = calls
-    assert subject[4] is None and relation[4] is not None
-    assert 0 < len(relation[4]) < len(relation[0].data)
-    dense = {
-        "subject": subject[1:4],
-        "relation": (*_dense_relation_arguments(*relation), relation[3]),
-    }
     # the model's logits, then wide ones of both signs that saturate
     # the float32 sigmoid and make exp(-|z|) subnormal
     rng = Rng(5)
-    for name, (logits, *call) in (("subject", subject), ("relation", relation)):
+    for name, (logits, *call) in zip(("subject", "relation"), calls, strict=True):
+        assert 0 < len(call[0]) < len(logits.data), name
+        dense = _dense_arguments(logits, *call)
         wide = rng.uniform(-1.0, 1.0, logits.shape, dtype=dtype) ** 3 * 120.0
         for z in (logits.data, wide):
-            for divisor, scale in ((call[2], 1.0), (3.0, 0.37)):
+            for scale in (1.0, 0.37):
                 zs = Tensor(z.copy(), requires_grad=True)
                 zd = Tensor(z.copy(), requires_grad=True)
-                got = pointer_bce(zs, call[0], call[1], divisor, *call[3:])
-                want = pointer_bce_dense(zd, dense[name][0], dense[name][1], divisor)
+                got = pointer_bce(zs, *call)
+                want = pointer_bce_dense(zd, *dense)
                 (got * scale).backward()
                 (want * scale).backward()
                 assert got.dtype == want.dtype == dtype
                 assert np.array_equal(got.data, want.data), name
                 assert np.array_equal(zs.grad, zd.grad), name
+    logits, rows, labels, *weights = calls[1]
     with pytest.raises(ValueError):
-        pointer_bce(relation[0], *relation[1:5])
-    with pytest.raises(ValueError):
-        pointer_bce(relation[0], relation[1][1:], *relation[2:])
+        pointer_bce(logits, rows, labels[1:], *weights)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +671,7 @@ def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch,
     params = init_model_params(cfg, len(schema), Rng(13))
     calls = _record_pointer_bce(monkeypatch)
     joint_loss(batch, params, cfg, None, training=False, weighting=weighting)
-    labels, weights = _dense_relation_arguments(*calls[1])  # the relation head's call
+    labels, weights = _dense_arguments(*calls[1])  # the relation head's call
 
     r2 = 2 * len(schema)
     lengths = [len(ex.input_ids) for ex in batch]
@@ -712,14 +695,6 @@ def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch,
         assert boosted != weighting.neutral
         pos += s * n
     assert pos == len(weights)
-
-
-def test_joint_loss_requires_matching_label_lengths():
-    batch, cfg, _, schema = _toy_batch()
-    params = init_model_params(cfg, len(schema), Rng(9))
-    batch[0].subject_start = batch[0].subject_start[:-1]
-    with pytest.raises(ValueError):
-        joint_loss(batch, params, cfg, Rng(0))
 
 
 def test_joint_loss_empty_batch_rejected():
