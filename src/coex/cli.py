@@ -25,7 +25,7 @@ from .data import (
     save_schema,
 )
 from .evaluator import benchmark_latency, score_triples
-from .runtime import export_model, load_inference_model, serve
+from .runtime import create_server, export_model, load_inference_model
 from .trainer import (
     TrainConfig,
     config_from_dict,
@@ -53,8 +53,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--weight-decay",
         type=float,
-        help="coupled L2 decay; the optimizer flushes weights it drives below "
-        "float32's smallest normal value to zero",
+        help="coupled L2 decay; the optimizer sets weights it drives below "
+        "2^-64 in magnitude to zero",
     )
     p.add_argument("--batch", type=int, help="batch size")
     p.add_argument("--epochs", type=int, help="training epochs")
@@ -178,17 +178,21 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    """Bind, report the bound address, then serve until interrupted; data
+    never leaves the process. A failed bind exits 1 before any report."""
     model = load_inference_model(args.model)
+    server = create_server(model, (args.host, args.port), quiet=not args.verbose)
+    host, port = server.server_address[:2]
     print(
-        json.dumps(
-            {"listening": f"{args.host}:{args.port}", "model_version": model.model_version}
-        ),
+        json.dumps({"listening": f"{host}:{port}", "model_version": model.model_version}),
         flush=True,
     )
     try:
-        serve(model, (args.host, args.port), quiet=not args.verbose)
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()
     return 0
 
 

@@ -28,7 +28,7 @@ from .trainer import (
     TrainConfig,
     _header_dict,
     _params_from_tensors,
-    flush_subnormals,
+    flush_small_weights,
     read_checkpoint,
     save_checkpoint,
 )
@@ -88,12 +88,13 @@ def export_model(
 ):
     """Write one artifact holding weights, config, vocab, and schema.
 
-    The written weights are float32 copies with subnormals flushed to zero, so
-    a model trained without the optimizer's flush still serves at full speed;
-    `params` is left as it was.
+    The written weights are float32 copies flushed by the optimizer's rule
+    (flush_small_weights), so a model trained without that flush still
+    serves at full speed; `params` is left as it was.
     """
     flushed = {
-        name: flush_subnormals(t.data.astype(np.float32)) for name, t in params.named_tensors()
+        name: flush_small_weights(t.data.astype(np.float32))
+        for name, t in params.named_tensors()
     }
     params = _params_from_tensors(_header_dict(params, config), flushed)[0]
     extra = {
@@ -218,12 +219,3 @@ def create_server(
     server = ThreadingHTTPServer(address, _make_handler(model, quiet))
     server.daemon_threads = True
     return server
-
-
-def serve(model: InferenceModel, address: tuple[str, int], quiet: bool = True):
-    """Serve until interrupted; data never leaves the process."""
-    server = create_server(model, address, quiet)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

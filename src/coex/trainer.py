@@ -96,13 +96,15 @@ class OptimizerState:
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def flush_subnormals(a: np.ndarray) -> np.ndarray:
-    """Set every element with |a| below the dtype's smallest normal to zero, in place.
+# Weights below this magnitude are set to +0. A kept weight times any operand
+# of magnitude >= 2^-62 is a normal float32 (>= 2^-126), so coupled decay never
+# walks a weight through the range whose products x86 computes many times slower.
+FLUSH_BELOW = 2.0**-64
 
-    x86 computes with subnormal floats many times slower than with normal ones,
-    and coupled decay drives weights that get little gradient through that range.
-    """
-    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
+
+def flush_small_weights(a: np.ndarray) -> np.ndarray:
+    """Set every element with |a| < FLUSH_BELOW to +0, in place."""
+    a[np.abs(a) < FLUSH_BELOW] = 0
     return a
 
 
@@ -111,8 +113,9 @@ def adagrad_step(
 ):
     """Accumulate squared gradients and update; weight decay couples into the
     gradient before accumulation (g' = g + wd * w). Updated weights are
-    flushed: none is left subnormal. A missing gradient counts as zero; p.grad
-    is left as it was, and each tensor's step runs in two scratch buffers."""
+    flushed: none is left with 0 < |w| < FLUSH_BELOW. A missing gradient
+    counts as zero; p.grad is left as it was, and each tensor's step runs in
+    two scratch buffers."""
     for name, p in named_params:
         acc = state.accumulators.get(name)
         if acc is None:
@@ -128,7 +131,7 @@ def adagrad_step(
         g *= lr
         g /= tmp
         p.data -= g
-        flush_subnormals(p.data)
+        flush_small_weights(p.data)
 
 
 @dataclass
@@ -147,8 +150,21 @@ class EpochMetrics:
     forward_s: float = 0.0
     backward_s: float = 0.0
     optimizer_s: float = 0.0
+    # median and 95th percentile over the epoch's batches of that step's
+    # forward + backward + optimizer seconds
+    step_p50_s: float = 0.0
+    step_p95_s: float = 0.0
     # teacher-forced joint loss on the eval corpus, dropout off, per example
     heldout_loss: float | None = None
+
+
+def _percentiles(values, qs) -> list[float]:
+    """np.percentile's default (linear) rule. np.percentile and np.median
+    import numpy.ma on first use, which adds ~1.5 MB to a training run's
+    resident memory."""
+    ranked = np.sort(values)
+    ranks = np.multiply(qs, (len(ranked) - 1) / 100)
+    return [float(v) for v in np.interp(ranks, np.arange(len(ranked)), ranked)]
 
 
 def weight_health(named_tensors) -> tuple[int, float]:
@@ -249,6 +265,7 @@ def train(
         order = rng.permutation(len(examples))
         totals = np.zeros(3)
         phases = np.zeros(3)  # forward, backward, optimizer
+        steps = []
         batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[lo : lo + config.batch_size]]
@@ -259,13 +276,16 @@ def train(
             parts.total.backward()
             t_opt = time.perf_counter()
             adagrad_step(named, state, config.lr, config.weight_decay, config.adagrad_eps)
-            phases += (t_bwd - t_fwd, t_opt - t_bwd, time.perf_counter() - t_opt)
+            t_end = time.perf_counter()
+            phases += (t_bwd - t_fwd, t_opt - t_bwd, t_end - t_opt)
+            steps.append(t_end - t_fwd)
             totals += (parts.total.item(), parts.subject, parts.relation)
             batches += 1
             # free this batch's graph before the next forward builds another
             del parts
         wall_time_s = time.perf_counter() - t0
         subnormal, max_abs = weight_health(named)
+        step_p50, step_p95 = _percentiles(steps, (50, 95)) if steps else (0.0, 0.0)
         m = EpochMetrics(
             epoch=epoch,
             mean_loss=totals[0] / batches,
@@ -277,6 +297,8 @@ def train(
             forward_s=phases[0],
             backward_s=phases[1],
             optimizer_s=phases[2],
+            step_p50_s=step_p50,
+            step_p95_s=step_p95,
         )
         if eval_corpus is not None:
             report, m.heldout_loss = _evaluate(
@@ -293,7 +315,8 @@ def train(
                 f"epoch {m.epoch:3d}  loss {m.mean_loss:.4f}"
                 f"  subject {m.mean_subject_loss:.4f}  relation {m.mean_relation_loss:.4f}"
                 f"  {m.wall_time_s:.1f}s (forward {m.forward_s:.1f}s, backward {m.backward_s:.1f}s,"
-                f" optimizer {m.optimizer_s:.1f}s)"
+                f" optimizer {m.optimizer_s:.1f}s; step p50 {m.step_p50_s * 1e3:.1f}ms"
+                f" p95 {m.step_p95_s * 1e3:.1f}ms)"
                 f"  subnormal {m.subnormal_weights}  max|w| {m.max_abs_weight:.3g}"
             )
             if m.f1 is not None:

@@ -5,7 +5,8 @@ against; triples_from_labels writes the gold spans as pointer labels and
 decodes them back into triples;
 spans_loop and objects_by_column are the per-start, per-relation decode that
 the one-pass decode_spans and decode_objects are checked against;
-subnormal_count counts float32 subnormals independently of the trainer;
+subnormal_count counts float32 subnormals and below_flush_count the weights
+in (0, 2^-64), both independently of the trainer;
 joint_loss_loop is the per-example cascade loss, with dense labels on
 every row, that the batched joint_loss is checked against, and
 MaskRecorder/MaskReplay hand both the same dropout masks;
@@ -92,6 +93,15 @@ def subnormal_count(arrays) -> int:
     """Elements with 0 < |x| < the smallest normal float32, over all arrays."""
     tiny = np.finfo(np.float32).tiny
     return sum(int(np.count_nonzero((np.abs(a) > 0) & (np.abs(a) < tiny))) for a in arrays)
+
+
+# the optimizer's flush threshold: a weight with |w| below it is set to +0
+FLUSH_BELOW = 2.0**-64
+
+
+def below_flush_count(arrays) -> int:
+    """Elements with 0 < |x| < FLUSH_BELOW, over all arrays."""
+    return sum(int(np.count_nonzero((np.abs(a) > 0) & (np.abs(a) < FLUSH_BELOW))) for a in arrays)
 
 
 def object_labels(sub, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +339,7 @@ def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -
 
 def adagrad_step_ref(named_params, state, lr: float, weight_decay: float, eps: float = 1e-10):
     """adagrad_step out of place: g' = g + wd * w, acc += g'^2,
-    w -= lr * g' / (sqrt(acc) + eps), then the subnormal flush."""
+    w -= lr * g' / (sqrt(acc) + eps), then the flush of |w| < FLUSH_BELOW."""
     for name, p in named_params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if weight_decay:
@@ -340,4 +350,4 @@ def adagrad_step_ref(named_params, state, lr: float, weight_decay: float, eps: f
             state.accumulators[name] = acc
         acc += g * g
         p.data -= (lr * g / (np.sqrt(acc) + eps)).astype(p.data.dtype, copy=False)
-        p.data[np.abs(p.data) < np.finfo(p.data.dtype).tiny] = 0
+        p.data[np.abs(p.data) < FLUSH_BELOW] = 0

@@ -1,6 +1,8 @@
 import json
 import math
+import socket
 from dataclasses import asdict
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -206,3 +208,33 @@ def test_missing_model_is_a_diagnostic_not_a_crash(tmp_path, capsys):
     rc = main(["serve", "--model", str(tmp_path / "absent.bin")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def serve_returns_at_once(monkeypatch):
+    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda self, *a, **k: None)
+
+
+def test_serve_port_zero_reports_the_bound_port(trained, capsys, serve_returns_at_once):
+    _, _, out_dir = trained
+    rc = main(["serve", "--model", str(out_dir / "model.bin"), "--port", "0"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    host, port = report["listening"].rsplit(":", 1)
+    assert host == "127.0.0.1" and int(port) > 0
+    assert report["model_version"] == load_inference_model(out_dir / "model.bin").model_version
+
+
+def test_serve_on_a_taken_port_fails_without_a_listening_line(
+    trained, capsys, serve_returns_at_once
+):
+    _, _, out_dir = trained
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        rc = main(["serve", "--model", str(out_dir / "model.bin"), "--port", str(port)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err
+    assert "listening" not in captured.out

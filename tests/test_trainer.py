@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coex.autograd import Rng, Tensor
-from coex.data import SynthConfig, generate_synthetic_corpus
+import coex.encoder
+import coex.tagger
+import coex.trainer
+from coex.autograd import Rng, Tensor, matmul
+from coex.data import SynthConfig, default_schema, generate_synthetic_corpus
 from coex.encoder import EncoderConfig
 from coex.tagger import RelationSchema, init_model_params
 from coex.trainer import (
@@ -16,14 +23,16 @@ from coex.trainer import (
     EpochMetrics,
     OptimizerState,
     TrainConfig,
+    _percentiles,
     adagrad_step,
     config_from_dict,
+    flush_small_weights,
     load_checkpoint,
     save_checkpoint,
     save_metrics,
     train,
 )
-from oracles import adagrad_step_ref, subnormal_count
+from oracles import FLUSH_BELOW, adagrad_step_ref, below_flush_count, subnormal_count
 
 SMALL_ENCODER = dict(
     model_dim=32, num_heads=2, ffn_dim=64, num_layers=1, max_seq_len=64, dropout_p=0.1
@@ -150,7 +159,103 @@ def test_adagrad_decay_alone_never_leaves_subnormal_weights():
         p.grad = np.zeros_like(p.data)
         adagrad_step([("w", p)], state, lr=0.08, weight_decay=0.01)
         assert subnormal_count([p.data]) == 0, f"subnormal weight after step {step + 1}"
+        assert below_flush_count([p.data]) == 0, f"weight below 2^-64 after step {step + 1}"
     assert np.all(p.data == 0)
+
+
+def _flush_by_adagrad(w: np.ndarray) -> np.ndarray:
+    # no gradient and no decay: the step moves nothing, so only the flush acts
+    p = Tensor(w, requires_grad=True)
+    adagrad_step([("w", p)], OptimizerState(), lr=0.08, weight_decay=0.0)
+    return p.data
+
+
+@pytest.mark.parametrize("flush", [flush_small_weights, _flush_by_adagrad])
+def test_flush_keeps_2_pow_minus_64_and_sets_everything_below_to_plus_zero(flush):
+    tiny = np.finfo(np.float32).tiny
+    edge = np.float32(FLUSH_BELOW)
+    below = np.float32(FLUSH_BELOW * (1 - 2.0**-24))  # the float32 just under 2^-64
+    assert below == np.nextafter(edge, np.float32(0))
+    w = np.array([edge, -edge, below, -below, tiny / 4, -tiny / 4, -0.0, 1.0], np.float32)
+    out = flush(w.copy())
+    expected = np.array([edge, -edge, 0, 0, 0, 0, 0, 1.0], np.float32)
+    assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))  # +0, never -0
+
+
+def test_small_recipe_matmuls_see_no_subnormal_values(monkeypatch):
+    # criterion 7's small encoder, trained longer: coupled decay walks the
+    # attention weights that get no gradient down toward zero, and every
+    # matmul output and gradient must stay clear of the subnormal range
+    subnormal = []
+
+    def count(a):
+        a = np.abs(a)
+        subnormal.append(int(np.count_nonzero((a > 0) & (a < np.finfo(a.dtype).tiny))))
+
+    def counting_matmul(a, b):
+        out = matmul(a, b)
+        count(out.data)
+        back = out._backward
+        if back is not None:
+            def counted_back(g):
+                grads = back(g)
+                for x in grads:
+                    if x is not None:
+                        count(x)
+                return grads
+
+            out._backward = counted_back
+        return out
+
+    monkeypatch.setattr(coex.encoder, "matmul", counting_matmul)
+    monkeypatch.setattr(coex.tagger, "matmul", counting_matmul)
+    config = TrainConfig(
+        epochs=6,
+        seed=5,
+        negatives_per_positive=16,
+        encoder=EncoderConfig(
+            vocab_size=0, model_dim=32, num_heads=2, ffn_dim=48,
+            num_layers=1, max_seq_len=64, dropout_p=0.1,
+        ),
+    )
+    corpus = generate_synthetic_corpus(SynthConfig(n_sentences=200, seed=21))
+    train(config, corpus, default_schema())
+    assert len(subnormal) > 1000 and sum(subnormal) == 0
+
+
+def test_train_reports_step_time_percentiles(tmp_path):
+    corpus = tiny_corpus(n=24)
+    lines = []
+    result = train(
+        small_config(epochs=2, batch_size=4), corpus, RelationSchema(tuple_predicates(corpus)),
+        log=lines.append,
+    )
+    for m, line in zip(result.metrics, lines):
+        # one step takes at most the epoch's summed phases
+        assert 0 < m.step_p50_s <= m.step_p95_s <= m.forward_s + m.backward_s + m.optimizer_s
+        assert f"step p50 {m.step_p50_s * 1e3:.1f}ms p95 {m.step_p95_s * 1e3:.1f}ms" in line
+    save_metrics(result.metrics, tmp_path / "metrics.jsonl")
+    rows = [json.loads(r) for r in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert [(r["step_p50_s"], r["step_p95_s"]) for r in rows] == [
+        (m.step_p50_s, m.step_p95_s) for m in result.metrics
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 150, 151])
+def test_percentiles_follow_numpys_linear_rule(n):
+    values = list(np.random.default_rng(n).exponential(size=n))
+    assert np.allclose(_percentiles(values, (50, 95)), np.percentile(values, [50, 95]), rtol=1e-14)
+
+
+def test_percentiles_leave_numpy_ma_unimported():
+    # np.percentile would import numpy.ma, which then stays resident for the
+    # rest of a training run
+    code = (
+        "import sys; from coex.trainer import _percentiles; _percentiles([3.0, 1.0], (50, 95)); "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    src = str(Path(coex.trainer.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_train_loss_decreases():
