@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .data import (
@@ -35,19 +35,9 @@ from .trainer import (
     train,
 )
 
-# flag destination -> TrainConfig field
-_CONFIG_FIELDS = {
-    "lr": "lr",
-    "weight_decay": "weight_decay",
-    "batch": "batch_size",
-    "epochs": "epochs",
-    "negatives": "negatives_per_positive",
-    "threshold": "threshold",
-    "seed": "seed",
-}
-
 
 def _add_config_flags(p: argparse.ArgumentParser):
+    """Each training flag stores under its TrainConfig field name."""
     p.add_argument("--config", help="JSON file of training settings")
     p.add_argument("--lr", type=float, help="learning rate")
     p.add_argument(
@@ -56,9 +46,11 @@ def _add_config_flags(p: argparse.ArgumentParser):
         help="coupled L2 decay; the optimizer sets weights it drives below "
         "2^-64 in magnitude to zero",
     )
-    p.add_argument("--batch", type=int, help="batch size")
+    p.add_argument("--batch", dest="batch_size", type=int, help="batch size")
     p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--negatives", type=int, help="negative spans per example")
+    p.add_argument(
+        "--negatives", dest="negatives_per_positive", type=int, help="negative spans per example"
+    )
     p.add_argument("--threshold", type=float, help="pointer decision threshold")
     p.add_argument("--seed", type=int, help="training seed")
 
@@ -76,10 +68,10 @@ def resolve_train_config(args) -> TrainConfig:
             if not isinstance(encoder, dict):
                 raise ValueError(f"{args.config}: encoder section must be an object")
             base["encoder"].update(encoder)
-    for dest, field in _CONFIG_FIELDS.items():
-        value = getattr(args, dest)
+    for f in fields(TrainConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            base[field] = value
+            base[f.name] = value
     try:
         return config_from_dict(base)
     except TypeError as e:

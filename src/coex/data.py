@@ -394,7 +394,6 @@ _SINGLE_PREDICATES = tuple(p for p in _CLAUSES if p not in _LIST_PREDICATES)
 class SynthConfig:
     n_sentences: int
     overlap_fraction: float = 0.3
-    schema: RelationSchema | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -472,11 +471,9 @@ def generate_synthetic_corpus(config: SynthConfig) -> list[RawExample]:
 
     Each sentence holds 1-6 triples. With probability overlap_fraction a
     sentence is built to overlap: either one subject shared by several
-    triples, or one object shared by two subjects.
+    triples, or one object shared by two subjects. The templates cover
+    exactly the default schema.
     """
-    schema = config.schema if config.schema is not None else default_schema()
-    if tuple(schema.predicates) != DEFAULT_PREDICATES:
-        raise SchemaError("synthetic templates cover exactly the default schema")
     rng = Rng(config.seed)
     corpus = []
     for _ in range(config.n_sentences):

@@ -96,6 +96,17 @@ class EncoderParams:
     layers: list[LayerParams] = field(default_factory=list)
 
 
+def layer_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each LayerParams tensor, in field order."""
+    d, f = config.model_dim, config.ffn_dim
+    return {
+        "w_q": (d, d), "b_q": (d,), "w_k": (d, d), "b_k": (d,),
+        "w_v": (d, d), "b_v": (d,), "w_o": (d, d), "b_o": (d,),
+        "ffn_w1": (d, f), "ffn_b1": (f,), "ffn_w2": (f, d), "ffn_b2": (d,),
+        "ln1_gamma": (d,), "ln1_beta": (d,), "ln2_gamma": (d,), "ln2_beta": (d,),
+    }
+
+
 def _weight(rng: Rng, shape, dtype) -> Tensor:
     return Tensor(rng.uniform(-0.02, 0.02, shape, dtype=dtype), requires_grad=True)
 
@@ -108,33 +119,23 @@ def _ones(shape, dtype) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
 
+def _layer_tensor(name: str, shape, rng: Rng, dtype) -> Tensor:
+    if len(shape) == 2:
+        return _weight(rng, shape, dtype)
+    return _ones(shape, dtype) if name.endswith("_gamma") else _zeros(shape, dtype)
+
+
 def init_encoder_params(config: EncoderConfig, rng: Rng, dtype=DEFAULT_DTYPE) -> EncoderParams:
-    """Uniform(-0.02, 0.02) weights and embeddings; zero biases; identity LayerNorm."""
+    """Uniform(-0.02, 0.02) weights and embeddings; zero biases; identity LayerNorm.
+    Each layer draws its weights in LayerParams field order."""
     if config.vocab_size <= 0:
         raise ValueError("vocab_size must be positive before initialization")
-    d, f = config.model_dim, config.ffn_dim
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(
-            LayerParams(
-                w_q=_weight(rng, (d, d), dtype),
-                b_q=_zeros((d,), dtype),
-                w_k=_weight(rng, (d, d), dtype),
-                b_k=_zeros((d,), dtype),
-                w_v=_weight(rng, (d, d), dtype),
-                b_v=_zeros((d,), dtype),
-                w_o=_weight(rng, (d, d), dtype),
-                b_o=_zeros((d,), dtype),
-                ffn_w1=_weight(rng, (d, f), dtype),
-                ffn_b1=_zeros((f,), dtype),
-                ffn_w2=_weight(rng, (f, d), dtype),
-                ffn_b2=_zeros((d,), dtype),
-                ln1_gamma=_ones((d,), dtype),
-                ln1_beta=_zeros((d,), dtype),
-                ln2_gamma=_ones((d,), dtype),
-                ln2_beta=_zeros((d,), dtype),
-            )
-        )
+    d = config.model_dim
+    shapes = layer_shapes(config)
+    layers = [
+        LayerParams(**{name: _layer_tensor(name, s, rng, dtype) for name, s in shapes.items()})
+        for _ in range(config.num_layers)
+    ]
     return EncoderParams(
         token_emb=_weight(rng, (config.vocab_size, d), dtype),
         segment_emb=_weight(rng, (2, d), dtype),

@@ -3,11 +3,13 @@
 One shared encoder feeds two heads. The subject head tags start/end pointers
 per token. The relation-object head, conditioned on a subject span by adding
 the span's mean hidden vector to every position, tags start/end pointers per
-token per relation. Being linear, it is computed factorized, (h + m)·W + b =
-h·W + m·W + b, and never forms the conditioned rows. A pointer's probability
-is the squared sigmoid of its logit. The heads emit logits only: the loss
-reads them fused, and decode compares them with one float32 cut-off per
-threshold, the logit at which the float32 squared sigmoid reaches it.
+token per relation. It takes the spans and conditions itself: it averages
+each span's hidden rows (condition_on_spans) and, being linear, is computed
+factorized, (h + m)·W + b = h·W + m·W + b, so it never forms the conditioned
+rows. A pointer's probability is the squared sigmoid of its logit. The heads
+emit logits only: the loss reads them fused, and decode compares them with
+one float32 cut-off per threshold, the logit at which the float32 squared
+sigmoid reaches it.
 
 Training uses teacher forcing: gold subject spans (plus sampled negative
 spans, which carry all-zero object labels) condition the relation head, and
@@ -174,16 +176,12 @@ def subject_scores(
 
 
 def relation_object_scores(
-    hidden: Tensor,
-    means: Tensor,
-    spans: list[list[Span]],
-    lengths: list[int],
-    params: ModelParams,
+    hidden: Tensor, spans: list[list[Span]], lengths: list[int], params: ModelParams
 ) -> Tensor:
     """Logits [sum of len(spans[b]) * lengths[b], 2R]: per example, one block of
-    its rows per span, each hidden·W plus that span's row of means·W, plus the
-    bias. Columns [0:R] are starts, [R:2R] ends. means is
-    condition_on_spans(hidden, spans, lengths)."""
+    its rows per span, each hidden·W plus that span's mean hidden row·W, plus
+    the bias. Columns [0:R] are starts, [R:2R] ends."""
+    means = condition_on_spans(hidden, spans, lengths)
     tokens = matmul(hidden, params.relation_w)
     per_span = matmul(means, params.relation_w)
     return _pack_span_blocks(tokens, per_span, params.relation_b, spans, lengths)
@@ -281,28 +279,25 @@ def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
 
     Nothing in coex calls it any more; bench/tracing.py still wraps it by
     name, and ROADMAP item 3 deletes it."""
-    n = hidden.shape[0]
-    if span.end >= n:
-        raise ValueError(f"span ({span.start}, {span.end}) exceeds sequence length {n}")
-    m = np.zeros((1, n), dtype=hidden.dtype)
-    m[0, span.start : span.end + 1] = 1.0 / len(span)
-    return add(hidden, matmul(Tensor(m), hidden))
+    return add(hidden, condition_on_spans(hidden, [[span]], [hidden.shape[0]]))
 
 
 def _span_blocks(rows: int, spans: list[list[Span]], lengths: list[int]):
-    """(first token row, length, first span row, spans) of each example that
-    has spans, for [B·L] token rows and spans packed example by example."""
+    """(first token row, length, first span row, spans, first packed row) of
+    each example that has spans, for [B·L] token rows, and spans and their
+    blocks of token rows packed example by example."""
     if not lengths or len(spans) != len(lengths) or rows % len(lengths):
         raise ValueError(f"{len(spans)} span lists and {len(lengths)} lengths for {rows} rows")
     width = rows // len(lengths)
-    blocks, first_span = [], 0
+    blocks, first_span, first_packed = [], 0, 0
     for b, (ss, n) in enumerate(zip(spans, lengths)):
         if not ss:
             continue
         if n > width or max(sp.end for sp in ss) >= n:
             raise ValueError(f"a span of example {b} exceeds its sequence length {n}")
-        blocks.append((b * width, n, first_span, ss))
+        blocks.append((b * width, n, first_span, ss, first_packed))
         first_span += len(ss)
+        first_packed += len(ss) * n
     return blocks
 
 
@@ -317,7 +312,7 @@ def condition_on_spans(
     """
     rows = hidden.shape[0]
     avg = np.zeros((sum(len(ss) for ss in spans), rows), dtype=hidden.dtype)
-    for first, _, lo, ss in _span_blocks(rows, spans, lengths):
+    for first, _, lo, ss, _ in _span_blocks(rows, spans, lengths):
         for i, sp in enumerate(ss):
             avg[lo + i, first + sp.start : first + sp.end + 1] = 1.0 / len(sp)
     return matmul(Tensor(avg), hidden)
@@ -333,19 +328,17 @@ def _pack_span_blocks(
     for the bias."""
     t, s = tokens.data, per_span.data
     c = t.shape[1]
-    # (first token row, length, first span row, span count, first packed row)
-    blocks, pos = [], 0
-    for first, n, lo, ss in _span_blocks(t.shape[0], spans, lengths):
-        blocks.append((first, n, lo, len(ss), pos))
-        pos += len(ss) * n
-    out = np.empty((pos, c), dtype=t.dtype)
-    for first, n, lo, k, at in blocks:
+    blocks = _span_blocks(t.shape[0], spans, lengths)
+    out = np.empty((sum(len(ss) * n for ss, n in zip(spans, lengths)), c), dtype=t.dtype)
+    for first, n, lo, ss, at in blocks:
+        k = len(ss)
         np.add(t[None, first : first + n], s[lo : lo + k, None], out=out[at : at + k * n].reshape(k, n, c))
     out += bias.data
 
     def back(g):
         gt, gs = np.zeros_like(t), np.zeros_like(s)
-        for first, n, lo, k, at in blocks:
+        for first, n, lo, ss, at in blocks:
+            k = len(ss)
             g3 = g[at : at + k * n].reshape(k, n, c)
             gt[first : first + n] = g3.sum(axis=0)
             gs[lo : lo + k] = g3.sum(axis=1)
@@ -440,10 +433,6 @@ class LossWeighting:
     adjacent: float = 1.0
     column: float = 1.0
 
-    @property
-    def neutral(self) -> bool:
-        return self.positive == self.adjacent == self.column == 1.0
-
 
 def relation_cell_weights(
     labels: np.ndarray, base: np.ndarray, weighting: LossWeighting
@@ -456,9 +445,6 @@ def relation_cell_weights(
     of gold token positions.
     """
     pos = labels > 0.5
-    out = np.broadcast_to(base, labels.shape)
-    if weighting.neutral or not pos.any():
-        return out
     near = np.zeros_like(pos)
     for shift in (1, 2):
         near[:, :-shift] |= pos[:, shift:]
@@ -467,8 +453,8 @@ def relation_cell_weights(
     # index bits: adjacent 1, column 2, gold 4; gold wins, then column
     rule = near.view(np.uint8) | (cross.view(np.uint8) << 1) | (pos.view(np.uint8) << 2)
     adj, col, gold = weighting.adjacent, weighting.column, weighting.positive
-    boost = np.array([1.0, adj, col, col, gold, gold, gold, gold], dtype=out.dtype)
-    return out * np.take(boost, rule)
+    boost = np.array([1.0, adj, col, col, gold, gold, gold, gold], dtype=base.dtype)
+    return base * np.take(boost, rule)
 
 
 def joint_loss(
@@ -559,8 +545,7 @@ def joint_loss(
         at += g * n
     if pos:
         h = dropout(hidden, config.dropout_p, training, rng)
-        means = condition_on_spans(h, spans, lengths)
-        r_logits = relation_object_scores(h, means, spans, lengths, params)
+        r_logits = relation_object_scores(h, spans, lengths, params)
         l_relation = pointer_bce(r_logits, rows, labels, weights, row_weights)
     else:
         l_relation = Tensor(np.asarray(0.0, dtype=dtype))
@@ -608,8 +593,7 @@ def extract_triples(
     if not subj_spans:
         return triples
     n = len(ids)
-    means = condition_on_spans(hidden, [subj_spans], [n])
-    logits = relation_object_scores(hidden, means, [subj_spans], [n], params).data
+    logits = relation_object_scores(hidden, [subj_spans], [n], params).data
     for i, s_span in enumerate(subj_spans):
         for rel, o_span in decode_objects(logits[i * n : (i + 1) * n], mask, threshold):
             t = Triple(

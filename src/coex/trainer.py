@@ -22,7 +22,7 @@ import numpy as np
 from . import tagger
 from .autograd import Rng, Tensor
 from .data import Vocab, build_vocab, encode_corpus, sample_negatives
-from .encoder import EncoderConfig, EncoderParams, LayerParams
+from .encoder import EncoderConfig, EncoderParams, LayerParams, layer_shapes
 from .tagger import (
     LossWeighting,
     ModelParams,
@@ -141,7 +141,8 @@ class EpochMetrics:
     mean_subject_loss: float
     mean_relation_loss: float
     wall_time_s: float
-    subnormal_weights: int
+    # parameters that are exactly 0
+    zero_weights: int
     max_abs_weight: float
     precision: float | None = None
     recall: float | None = None
@@ -168,13 +169,12 @@ def _percentiles(values, qs) -> list[float]:
 
 
 def weight_health(named_tensors) -> tuple[int, float]:
-    """(count of subnormal elements, largest |w|) over the given tensors."""
-    subnormal, max_abs = 0, 0.0
+    """(count of elements that are exactly 0, largest |w|) over the given tensors."""
+    zeros, max_abs = 0, 0.0
     for _, t in named_tensors:
-        a = np.abs(t.data)
-        subnormal += int(np.count_nonzero((a > 0) & (a < np.finfo(a.dtype).tiny)))
-        max_abs = max(max_abs, float(a.max(initial=0.0)))
-    return subnormal, max_abs
+        zeros += t.data.size - int(np.count_nonzero(t.data))
+        max_abs = max(max_abs, float(np.abs(t.data).max(initial=0.0)))
+    return zeros, max_abs
 
 
 def save_metrics(metrics: list[EpochMetrics], path):
@@ -284,7 +284,7 @@ def train(
             # free this batch's graph before the next forward builds another
             del parts
         wall_time_s = time.perf_counter() - t0
-        subnormal, max_abs = weight_health(named)
+        zeros, max_abs = weight_health(named)
         step_p50, step_p95 = _percentiles(steps, (50, 95)) if steps else (0.0, 0.0)
         m = EpochMetrics(
             epoch=epoch,
@@ -292,7 +292,7 @@ def train(
             mean_subject_loss=totals[1] / batches,
             mean_relation_loss=totals[2] / batches,
             wall_time_s=wall_time_s,
-            subnormal_weights=subnormal,
+            zero_weights=zeros,
             max_abs_weight=max_abs,
             forward_s=phases[0],
             backward_s=phases[1],
@@ -317,7 +317,7 @@ def train(
                 f"  {m.wall_time_s:.1f}s (forward {m.forward_s:.1f}s, backward {m.backward_s:.1f}s,"
                 f" optimizer {m.optimizer_s:.1f}s; step p50 {m.step_p50_s * 1e3:.1f}ms"
                 f" p95 {m.step_p95_s * 1e3:.1f}ms)"
-                f"  subnormal {m.subnormal_weights}  max|w| {m.max_abs_weight:.3g}"
+                f"  zero {m.zero_weights}  max|w| {m.max_abs_weight:.3g}"
             )
             if m.f1 is not None:
                 line += f"  P {m.precision:.3f} R {m.recall:.3f} F1 {m.f1:.3f}"
@@ -436,39 +436,37 @@ def _params_from_tensors(header: dict, tensors: dict[str, np.ndarray]) -> tuple[
     except (KeyError, TypeError) as e:
         raise CheckpointFormatError(f"header missing config fields: {e}") from None
 
-    def grab(name) -> Tensor:
+    def grab(name, shape) -> Tensor:
         if name not in tensors:
             raise CheckpointIntegrityError(f"tensor {name!r} missing from checkpoint")
-        return Tensor(tensors.pop(name), requires_grad=True)
+        a = tensors.pop(name)
+        if a.shape != shape:
+            raise CheckpointIntegrityError(
+                f"tensor {name!r} has shape {list(a.shape)}, the config implies {list(shape)}"
+            )
+        return Tensor(a, requires_grad=True)
 
-    layers = []
-    for i in range(config.encoder.num_layers):
-        layers.append(
-            LayerParams(**{f: grab(f"layer{i}.{f}") for f in LayerParams.__dataclass_fields__})
-        )
+    enc = config.encoder
+    d, r2 = enc.model_dim, 2 * num_relations
+    shapes = layer_shapes(enc)
+    layers = [
+        LayerParams(**{f: grab(f"layer{i}.{f}", s) for f, s in shapes.items()})
+        for i in range(enc.num_layers)
+    ]
     params = ModelParams(
         encoder=EncoderParams(
-            token_emb=grab("token_emb"),
-            segment_emb=grab("segment_emb"),
-            position_emb=grab("position_emb"),
+            token_emb=grab("token_emb", (enc.vocab_size, d)),
+            segment_emb=grab("segment_emb", (2, d)),
+            position_emb=grab("position_emb", (enc.max_seq_len, d)),
             layers=layers,
         ),
-        subject_w=grab("subject_w"),
-        subject_b=grab("subject_b"),
-        relation_w=grab("relation_w"),
-        relation_b=grab("relation_b"),
+        subject_w=grab("subject_w", (d, 2)),
+        subject_b=grab("subject_b", (2,)),
+        relation_w=grab("relation_w", (d, r2)),
+        relation_b=grab("relation_b", (r2,)),
     )
     if tensors:
         raise CheckpointIntegrityError(f"unexpected tensors in checkpoint: {sorted(tensors)}")
-    if params.num_relations != num_relations:
-        raise CheckpointIntegrityError(
-            f"relation head holds {params.num_relations} relations, header says {num_relations}"
-        )
-    d = config.encoder.model_dim
-    if params.subject_w.shape != (d, 2):
-        raise CheckpointIntegrityError(
-            f"subject head shape {params.subject_w.shape} does not match model_dim {d}"
-        )
     return params, config
 
 

@@ -30,10 +30,10 @@ from coex.data import CLS_ID, SEP_ID, _truncate, tokenize
 from coex.encoder import PAD_ID, encode
 from coex.tagger import (
     LossParts,
+    LossWeighting,
     RelationSchema,
     Span,
     Triple,
-    condition_on_spans,
     condition_on_subject,
     content_mask,
     decode_objects,
@@ -197,8 +197,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         labels = np.zeros((len(spans), n, 2 * r), dtype=dtype)
         for i, sub in enumerate(ex.subjects):
             labels[i, :, :r], labels[i, :, r:] = object_labels(sub, n, r)
-        means = condition_on_spans(h_rel, [spans], [n])
-        r_logits = relation_object_scores(h_rel, means, [spans], [n], params)
+        r_logits = relation_object_scores(h_rel, [spans], [n], params)
         n_gold = len(ex.subjects)
         n_neg = len(ex.negative_spans)
         per_gold = 1.0 / (n_unmasked * 2 * r)
@@ -206,7 +205,7 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         rw = np.concatenate(
             [np.tile(w * per_gold, (n_gold, 1)), np.tile(w * per_neg, (n_neg, 1))]
         )
-        if weighting is not None and not weighting.neutral:
+        if weighting not in (None, LossWeighting()):
             rw = relation_cell_weights(
                 labels, rw.reshape(len(spans), n, 1), weighting
             ).reshape(len(spans) * n, 2 * r)

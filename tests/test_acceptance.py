@@ -37,7 +37,6 @@ from coex.runtime import create_server, export_model, load_inference_model
 from coex.tagger import (
     RelationSchema,
     Span,
-    condition_on_spans,
     extract_triples,
     init_model_params,
     joint_loss,
@@ -240,8 +239,7 @@ def _scores_for(text: str, params, cfg, vocab):
     start = int(np.argmax(subj[:, 0]))
     end = int(np.argmax(subj[start:, 1])) + start
     spans, lengths = [[Span(start, end)]], [len(ids)]
-    means = condition_on_spans(hidden, spans, lengths)
-    rel = relation_object_scores(hidden, means, spans, lengths, params)
+    rel = relation_object_scores(hidden, spans, lengths, params)
     return subj, squared_score(rel.data)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from coex.cli import build_parser, main, resolve_train_config
 from coex.runtime import load_inference_model
-from coex.trainer import TrainConfig
+from coex.trainer import TrainConfig, read_checkpoint
 
 TINY_CONFIG = {
     "lr": 0.1,
@@ -124,7 +124,10 @@ def test_train_outputs(trained, capsys):
     rows = [json.loads(line) for line in (out_dir / "metrics.jsonl").read_text().splitlines()]
     assert [r["epoch"] for r in rows] == [1, 2]
     assert all(r["f1"] is not None for r in rows)
-    assert all(r["subnormal_weights"] == 0 and r["max_abs_weight"] > 0 for r in rows)
+    assert all(r["max_abs_weight"] > 0 for r in rows)
+    # the last epoch's count is the final weights', which checkpoint.bin holds
+    _, tensors = read_checkpoint(out_dir / "checkpoint.bin")
+    assert rows[-1]["zero_weights"] == sum(int((a == 0).sum()) for a in tensors.values())
     assert all(r["forward_s"] > 0 and r["backward_s"] > 0 and r["optimizer_s"] > 0 for r in rows)
     assert all(math.isfinite(r["heldout_loss"]) and r["heldout_loss"] > 0 for r in rows)
 

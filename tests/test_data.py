@@ -309,9 +309,3 @@ def test_synthetic_corpus_overlap_rate_near_target():
     rate = sum(has_overlap(e) for e in corpus) / len(corpus)
     assert 0.25 <= rate <= 0.35
 
-
-def test_synthetic_corpus_rejects_foreign_schema():
-    from coex.tagger import RelationSchema
-
-    with pytest.raises(SchemaError):
-        generate_synthetic_corpus(SynthConfig(n_sentences=1, schema=RelationSchema(("p1",))))

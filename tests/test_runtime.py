@@ -163,6 +163,38 @@ def test_load_rejects_tampered_tensor_payload(tmp_path):
         load_inference_model(path)
 
 
+def test_load_refuses_tensors_the_config_does_not_imply(tmp_path):
+    # each artifact carries a valid fingerprint over its tensors; before the
+    # shape check, the first loaded and then failed on every extract, and the
+    # second loaded and served with an FFN wider than its config's ffn_dim
+    from coex.autograd import Tensor
+    from coex.data import RESERVED
+    from coex.trainer import save_checkpoint
+
+    rng = np.random.default_rng(0)
+
+    def narrow_w_q(layer):
+        layer.w_q = Tensor(layer.w_q.data[:, :15].copy())
+
+    def wide_ffn(layer):
+        d, f = 16, 32  # ffn_dim is 24
+        for name, shape in (("ffn_w1", (d, f)), ("ffn_b1", (f,)), ("ffn_w2", (f, d))):
+            setattr(layer, name, Tensor(rng.uniform(-0.02, 0.02, shape).astype(np.float32)))
+
+    for corrupt in (narrow_w_q, wide_ffn):
+        _, vocab, schema, cfg, params = small_setup()
+        corrupt(params.encoder.layers[0])
+        path = tmp_path / f"{corrupt.__name__}.bin"
+        extra = {
+            "vocab": list(vocab.tokens[len(RESERVED) :]),
+            "schema": list(schema.predicates),
+            "model_version": model_fingerprint(params),
+        }
+        save_checkpoint(params, cfg, path, extra=extra)
+        with pytest.raises(CheckpointIntegrityError, match="layer0"):
+            load_inference_model(path)
+
+
 def test_response_byte_count_fixed_point():
     # the count participates in its own serialization; force digit growth
     for pad in range(0, 40, 7):
@@ -178,7 +210,7 @@ def test_response_byte_count_fixed_point():
 
 @contextlib.contextmanager
 def running(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server.server_address

@@ -218,7 +218,7 @@ def test_relation_scores_layout():
     params = init_model_params(cfg, num_relations=r, rng=Rng(2))
     h = Tensor(np.random.default_rng(2).normal(size=(4, cfg.model_dim)).astype(np.float32))
     spans = [[Span(0, 1), Span(2, 2)]]
-    ro = relation_object_scores(h, condition_on_spans(h, spans, [4]), spans, [4], params)
+    ro = relation_object_scores(h, spans, [4], params)
     assert ro.shape == (8, 2 * r)
     # columns [0:R] are starts and [R:2R] ends
     block = np.zeros((4, 2 * r), dtype=np.float32)
@@ -281,7 +281,7 @@ def test_relation_head_matches_unfactorized_oracle():
     # 3-row example in a 5-row slot
     spans = [[Span(0, 4), Span(1, 3), Span(2, 2), Span(2, 4)], [], [Span(0, 1), Span(1, 2)]]
     lengths = [5, 4, 3]
-    ro = relation_object_scores(h, condition_on_spans(h, spans, lengths), spans, lengths, params)
+    ro = relation_object_scores(h, spans, lengths, params)
     want = relation_logits_ref(h.data, spans, lengths, params.relation_w.data, params.relation_b.data)
     assert ro.shape == want.shape == (4 * 5 + 2 * 3, 6)
     assert np.abs(ro.data - want).max() <= 1e-5 * np.abs(want).max()
@@ -305,8 +305,7 @@ def test_relation_head_gradient_check():
         weights = rng.uniform(0.5, 1.5, (rows, 1), dtype=dtype) / (rows * 4)  # loss near 1
 
         def f(ps):
-            means = condition_on_spans(ps[0], spans, lengths)
-            ro = relation_object_scores(ps[0], means, spans, lengths, head)
+            ro = relation_object_scores(ps[0], spans, lengths, head)
             return bce_every_row(ro, labels, weights)
 
         errors[dtype] = grad_check(f, [hidden, head.relation_w, head.relation_b], eps=eps)
@@ -692,7 +691,7 @@ def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch,
         packed = weights[pos : pos + s * n].reshape(s, n, r2)
         assert np.array_equal(packed, full)
         boosted = not np.array_equal(packed[:g], np.broadcast_to(base[:g], (g, n, r2)))
-        assert boosted != weighting.neutral
+        assert boosted != (weighting == LossWeighting())
         pos += s * n
     assert pos == len(weights)
 

@@ -278,9 +278,10 @@ def test_train_metrics_shape():
         assert min(phases) >= 0 and sum(phases) <= m.wall_time_s
         assert abs(m.mean_loss - (m.mean_subject_loss + m.mean_relation_loss)) < 1e-5
         assert m.f1 is None
-        assert m.subnormal_weights == 0 and m.max_abs_weight > 0
+        assert m.max_abs_weight > 0
     largest = max(float(np.abs(t.data).max()) for _, t in result.params.named_tensors())
-    assert result.metrics[-1].max_abs_weight == largest
+    zeros = sum(int((t.data == 0).sum()) for _, t in result.params.named_tensors())
+    assert (result.metrics[-1].zero_weights, result.metrics[-1].max_abs_weight) == (zeros, largest)
     assert result.config.encoder.vocab_size == len(result.vocab)
 
 
@@ -374,8 +375,8 @@ def test_save_metrics_jsonl(tmp_path):
     assert parsed["f1"] == pytest.approx(1 / 3)
     first = json.loads(lines[0])
     assert first["f1"] is None
-    assert (first["subnormal_weights"], first["max_abs_weight"]) == (7, 0.75)
-    assert (parsed["subnormal_weights"], parsed["max_abs_weight"]) == (0, 0.5)
+    assert (first["zero_weights"], first["max_abs_weight"]) == (7, 0.75)
+    assert (parsed["zero_weights"], parsed["max_abs_weight"]) == (0, 0.5)
     assert (first["forward_s"], first["backward_s"], first["optimizer_s"]) == (0.0, 0.0, 0.0)
     assert first["heldout_loss"] is None
 
