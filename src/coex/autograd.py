@@ -364,11 +364,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(out, (a,), back)
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
-
-
 def grad_check(f, params, eps: float | None = None) -> float:
     """Compare analytic gradients of scalar f(params) against central differences.
 
@@ -377,7 +372,8 @@ def grad_check(f, params, eps: float | None = None) -> float:
     """
     if eps is None:
         eps = 1e-3 if params and params[0].dtype == np.float32 else 1e-6
-    zero_grads(params)
+    for p in params:
+        p.zero_grad()
     loss = f(params)
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]

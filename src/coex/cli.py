@@ -16,7 +16,6 @@ from pathlib import Path
 from .data import (
     SynthConfig,
     Vocab,
-    build_vocab,
     default_schema,
     generate_synthetic_corpus,
     load_corpus,

@@ -79,9 +79,6 @@ class Vocab:
     def encode(self, toks: list[str]) -> np.ndarray:
         return np.array([self.token_to_id.get(t, UNK_ID) for t in toks], dtype=np.int64)
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[i] for i in ids]
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for t in self.tokens[len(RESERVED):]:

@@ -17,12 +17,11 @@ w_q, b_q, w_k and b_k then get no gradient (see _uniform_attention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import (
-    DEFAULT_DTYPE,
     Rng,
     Tensor,
     add,
@@ -93,11 +92,12 @@ class EncoderParams:
     token_emb: Tensor
     segment_emb: Tensor
     position_emb: Tensor
-    layers: list[LayerParams] = field(default_factory=list)
+    layers: list[LayerParams]
 
 
 def layer_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of each LayerParams tensor, in field order."""
+    """The shape of each LayerParams tensor, in field order; coex.tagger.model_shapes
+    repeats it for every layer."""
     d, f = config.model_dim, config.ffn_dim
     return {
         "w_q": (d, d), "b_q": (d,), "w_k": (d, d), "b_k": (d,),
@@ -105,43 +105,6 @@ def layer_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
         "ffn_w1": (d, f), "ffn_b1": (f,), "ffn_w2": (f, d), "ffn_b2": (d,),
         "ln1_gamma": (d,), "ln1_beta": (d,), "ln2_gamma": (d,), "ln2_beta": (d,),
     }
-
-
-def _weight(rng: Rng, shape, dtype) -> Tensor:
-    return Tensor(rng.uniform(-0.02, 0.02, shape, dtype=dtype), requires_grad=True)
-
-
-def _zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def _ones(shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-
-def _layer_tensor(name: str, shape, rng: Rng, dtype) -> Tensor:
-    if len(shape) == 2:
-        return _weight(rng, shape, dtype)
-    return _ones(shape, dtype) if name.endswith("_gamma") else _zeros(shape, dtype)
-
-
-def init_encoder_params(config: EncoderConfig, rng: Rng, dtype=DEFAULT_DTYPE) -> EncoderParams:
-    """Uniform(-0.02, 0.02) weights and embeddings; zero biases; identity LayerNorm.
-    Each layer draws its weights in LayerParams field order."""
-    if config.vocab_size <= 0:
-        raise ValueError("vocab_size must be positive before initialization")
-    d = config.model_dim
-    shapes = layer_shapes(config)
-    layers = [
-        LayerParams(**{name: _layer_tensor(name, s, rng, dtype) for name, s in shapes.items()})
-        for _ in range(config.num_layers)
-    ]
-    return EncoderParams(
-        token_emb=_weight(rng, (config.vocab_size, d), dtype),
-        segment_emb=_weight(rng, (2, d), dtype),
-        position_emb=_weight(rng, (config.max_seq_len, d), dtype),
-        layers=layers,
-    )
 
 
 def pad_batch(sentences: list[np.ndarray]) -> np.ndarray:

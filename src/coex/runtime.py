@@ -26,7 +26,6 @@ from .trainer import (
     CheckpointFormatError,
     CheckpointIntegrityError,
     TrainConfig,
-    _header_dict,
     _params_from_tensors,
     flush_small_weights,
     read_checkpoint,
@@ -73,6 +72,13 @@ class InferenceModel:
 def inference_model(
     params: ModelParams, config: TrainConfig, vocab: Vocab, schema: RelationSchema
 ) -> InferenceModel:
+    """Freeze params for extraction. Export and load both pass through here, so
+    neither accepts a vocab or schema whose size disagrees with the tensors."""
+    implied = (params.encoder.token_emb.shape[0], params.num_relations)
+    if (len(vocab), len(schema)) != implied:
+        raise CheckpointIntegrityError(
+            f"vocab and schema sizes {len(vocab), len(schema)}, the tensors imply {implied}"
+        )
     return InferenceModel(
         params=params.freeze(),
         config=config.encoder,
@@ -92,17 +98,14 @@ def export_model(
     (flush_small_weights), so a model trained without that flush still
     serves at full speed; `params` is left as it was.
     """
-    flushed = {
-        name: flush_small_weights(t.data.astype(np.float32))
-        for name, t in params.named_tensors()
-    }
-    params = _params_from_tensors(_header_dict(params, config), flushed)[0]
+    flushed = params.map(lambda a: flush_small_weights(a.astype(np.float32)))
+    model = inference_model(flushed, config, vocab, schema)
     extra = {
         "vocab": list(vocab.tokens[len(RESERVED) :]),
         "schema": list(schema.predicates),
-        "model_version": model_fingerprint(params),
+        "model_version": model.model_version,
     }
-    save_checkpoint(params, config, path, extra=extra)
+    save_checkpoint(model.params, config, path, extra=extra)
 
 
 def load_inference_model(path) -> InferenceModel:

@@ -39,7 +39,7 @@ from .encoder import (
     EncoderParams,
     LayerParams,
     encode,
-    init_encoder_params,
+    layer_shapes,
     pad_batch,
 )
 
@@ -119,15 +119,23 @@ class ModelParams:
         ]
         for i, layer in enumerate(self.encoder.layers):
             out += [(f"layer{i}.{f.name}", getattr(layer, f.name)) for f in fields(LayerParams)]
-        out.extend(
-            [
-                ("subject_w", self.subject_w),
-                ("subject_b", self.subject_b),
-                ("relation_w", self.relation_w),
-                ("relation_b", self.relation_b),
-            ]
-        )
-        return out
+        return out + [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "encoder"]
+
+    @classmethod
+    def from_named(cls, arrays: dict[str, np.ndarray]) -> ModelParams:
+        """The model whose tensors wrap the given arrays, each keyed by its
+        named_tensors name; the arrays are not copied."""
+        t = {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+        layers = [
+            LayerParams(**{f.name: t[f"layer{i}.{f.name}"] for f in fields(LayerParams)})
+            for i in range(len({name.split(".")[0] for name in t if "." in name}))
+        ]
+        encoder = EncoderParams(t["token_emb"], t["segment_emb"], t["position_emb"], layers)
+        return cls(encoder, **{f.name: t[f.name] for f in fields(cls) if f.name != "encoder"})
+
+    def map(self, fn) -> ModelParams:
+        """A new model over fn(array) of every tensor; new tensors, no graph."""
+        return ModelParams.from_named({name: fn(t.data) for name, t in self.named_tensors()})
 
     @property
     def num_relations(self) -> int:
@@ -145,22 +153,39 @@ class ModelParams:
         return self
 
 
+def model_shapes(config: EncoderConfig, num_relations: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, keyed and ordered as ModelParams.named_tensors.
+    Init draws from it and loading checks against it."""
+    d, r2 = config.model_dim, 2 * num_relations
+    shapes = dict(
+        token_emb=(config.vocab_size, d), segment_emb=(2, d), position_emb=(config.max_seq_len, d)
+    )
+    for i in range(config.num_layers):
+        shapes.update({f"layer{i}.{name}": s for name, s in layer_shapes(config).items()})
+    shapes.update(subject_w=(d, 2), subject_b=(2,), relation_w=(d, r2), relation_b=(r2,))
+    return shapes
+
+
 def init_model_params(
     config: EncoderConfig, num_relations: int, rng: Rng, dtype=DEFAULT_DTYPE
 ) -> ModelParams:
+    """Uniform(-0.02, 0.02) weights and embeddings (every 2-D tensor), ones for
+    LayerNorm gains, zeros for the rest. The layers draw first, then the
+    embeddings, then the heads, each group in model_shapes order."""
+    if config.vocab_size <= 0:
+        raise ValueError("vocab_size must be positive before initialization")
     if num_relations <= 0:
         raise ValueError("num_relations must be positive")
-    enc = init_encoder_params(config, rng, dtype=dtype)
-    d = config.model_dim
-    return ModelParams(
-        encoder=enc,
-        subject_w=Tensor(rng.uniform(-0.02, 0.02, (d, 2), dtype=dtype), requires_grad=True),
-        subject_b=Tensor(np.zeros(2, dtype=dtype), requires_grad=True),
-        relation_w=Tensor(
-            rng.uniform(-0.02, 0.02, (d, 2 * num_relations), dtype=dtype), requires_grad=True
-        ),
-        relation_b=Tensor(np.zeros(2 * num_relations, dtype=dtype), requires_grad=True),
-    )
+    shapes = model_shapes(config, num_relations)
+    arrays = {}
+    heads = ("subject", "relation")
+    for name in sorted(shapes, key=lambda n: (not n.startswith("layer"), n.startswith(heads))):
+        shape = shapes[name]
+        if len(shape) == 2:
+            arrays[name] = rng.uniform(-0.02, 0.02, shape, dtype=dtype)
+        else:
+            arrays[name] = (np.ones if name.endswith("_gamma") else np.zeros)(shape, dtype=dtype)
+    return ModelParams.from_named(arrays)
 
 
 def subject_scores(

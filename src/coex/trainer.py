@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import tagger
-from .autograd import Rng, Tensor
+from .autograd import Rng
 from .data import Vocab, build_vocab, encode_corpus, sample_negatives
-from .encoder import EncoderConfig, EncoderParams, LayerParams, layer_shapes
+from .encoder import EncoderConfig
 from .tagger import (
     LossWeighting,
     ModelParams,
@@ -30,6 +30,7 @@ from .tagger import (
     extract_triples,
     init_model_params,
     joint_loss,
+    model_shapes,
 )
 
 CHECKPOINT_MAGIC = b"COEX"
@@ -202,8 +203,7 @@ def _evaluate(params, config: TrainConfig, vocab, schema, eval_corpus, eval_exam
     from .evaluator import score_triples
 
     # a frozen view, new tensors over the same arrays: no op records a graph
-    arrays = {name: t.data for name, t in params.named_tensors()}
-    frozen = _params_from_tensors(_header_dict(params, config), arrays)[0].freeze()
+    frozen = params.map(lambda a: a).freeze()
     predictions, gold = [], []
     for raw in eval_corpus:
         predictions.append(
@@ -306,8 +306,7 @@ def train(
             )
             m.precision, m.recall, m.f1 = report.precision, report.recall, report.f1
             if best_f1 is None or report.f1 > best_f1:
-                copies = {name: t.data.copy() for name, t in named}
-                best_params = _params_from_tensors(_header_dict(params, config), copies)[0]
+                best_params = params.map(np.copy)
                 best_epoch, best_f1 = epoch, report.f1
         metrics.append(m)
         if log is not None:
@@ -340,19 +339,14 @@ def train(
 # checkpoints
 
 
-def _header_dict(params: ModelParams, config: TrainConfig, extra: dict | None = None) -> dict:
+def save_checkpoint(params: ModelParams, config: TrainConfig, path, extra: dict | None = None):
     header = {
         "config": asdict(config),
         "num_relations": params.num_relations,
         "tensors": [[name, list(t.shape)] for name, t in params.named_tensors()],
+        **(extra or {}),
     }
-    if extra:
-        header.update(extra)
-    return header
-
-
-def save_checkpoint(params: ModelParams, config: TrainConfig, path, extra: dict | None = None):
-    header = json.dumps(_header_dict(params, config, extra), ensure_ascii=False).encode("utf-8")
+    header = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -436,38 +430,16 @@ def _params_from_tensors(header: dict, tensors: dict[str, np.ndarray]) -> tuple[
     except (KeyError, TypeError) as e:
         raise CheckpointFormatError(f"header missing config fields: {e}") from None
 
-    def grab(name, shape) -> Tensor:
-        if name not in tensors:
-            raise CheckpointIntegrityError(f"tensor {name!r} missing from checkpoint")
-        a = tensors.pop(name)
-        if a.shape != shape:
+    expected = model_shapes(config.encoder, num_relations)
+    if tensors.keys() != expected.keys():
+        missing, unexpected = sorted(expected.keys() - tensors), sorted(tensors.keys() - expected)
+        raise CheckpointIntegrityError(f"tensors missing: {missing}, unexpected: {unexpected}")
+    for name, shape in expected.items():
+        if (got := tensors[name].shape) != shape:
             raise CheckpointIntegrityError(
-                f"tensor {name!r} has shape {list(a.shape)}, the config implies {list(shape)}"
+                f"tensor {name!r} has shape {list(got)}, the config implies {list(shape)}"
             )
-        return Tensor(a, requires_grad=True)
-
-    enc = config.encoder
-    d, r2 = enc.model_dim, 2 * num_relations
-    shapes = layer_shapes(enc)
-    layers = [
-        LayerParams(**{f: grab(f"layer{i}.{f}", s) for f, s in shapes.items()})
-        for i in range(enc.num_layers)
-    ]
-    params = ModelParams(
-        encoder=EncoderParams(
-            token_emb=grab("token_emb", (enc.vocab_size, d)),
-            segment_emb=grab("segment_emb", (2, d)),
-            position_emb=grab("position_emb", (enc.max_seq_len, d)),
-            layers=layers,
-        ),
-        subject_w=grab("subject_w", (d, 2)),
-        subject_b=grab("subject_b", (2,)),
-        relation_w=grab("relation_w", (d, r2)),
-        relation_b=grab("relation_b", (r2,)),
-    )
-    if tensors:
-        raise CheckpointIntegrityError(f"unexpected tensors in checkpoint: {sorted(tensors)}")
-    return params, config
+    return ModelParams.from_named(tensors), config
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:

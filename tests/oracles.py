@@ -18,7 +18,8 @@ are the sign-selected sigmoid, the dense pointer BCE and the out-of-place
 Adagrad step that the sigmoid helper, pointer_bce and adagrad_step must equal
 bit for bit; sigmoid and square are autograd ops for the tests, and
 squared_score is the float32 square(sigmoid(z)) that decode's logit cut-off
-must reproduce.
+must reproduce; init_model_params_reference draws every initial weight one
+by one, in the order init_model_params must keep bit for bit.
 """
 
 from __future__ import annotations
@@ -350,3 +351,30 @@ def adagrad_step_ref(named_params, state, lr: float, weight_decay: float, eps: f
         acc += g * g
         p.data -= (lr * g / (np.sqrt(acc) + eps)).astype(p.data.dtype, copy=False)
         p.data[np.abs(p.data) < FLUSH_BELOW] = 0
+
+
+def init_model_params_reference(config, num_relations: int, rng, dtype=np.float32) -> dict:
+    """Initial arrays by named_tensors name, each drawn explicitly: every
+    layer's 2-D fields in LayerParams order, then token_emb, segment_emb,
+    position_emb, then subject_w and relation_w. Biases and LayerNorm betas
+    are zeros, gammas ones."""
+    d, f, r2 = config.model_dim, config.ffn_dim, 2 * num_relations
+
+    def draw(*shape):
+        return rng.uniform(-0.02, 0.02, shape, dtype=dtype)
+
+    out = {}
+    for i in range(config.num_layers):
+        layer = {name: draw(d, d) for name in ("w_q", "w_k", "w_v", "w_o")}
+        layer["ffn_w1"], layer["ffn_w2"] = draw(d, f), draw(f, d)
+        for name in ("b_q", "b_k", "b_v", "b_o", "ffn_b2", "ln1_beta", "ln2_beta"):
+            layer[name] = np.zeros(d, dtype=dtype)
+        layer["ffn_b1"] = np.zeros(f, dtype=dtype)
+        layer["ln1_gamma"] = layer["ln2_gamma"] = np.ones(d, dtype=dtype)
+        out.update({f"layer{i}.{name}": a for name, a in layer.items()})
+    out["token_emb"] = draw(config.vocab_size, d)
+    out["segment_emb"] = draw(2, d)
+    out["position_emb"] = draw(config.max_seq_len, d)
+    out["subject_w"], out["subject_b"] = draw(d, 2), np.zeros(2, dtype=dtype)
+    out["relation_w"], out["relation_b"] = draw(d, r2), np.zeros(r2, dtype=dtype)
+    return out

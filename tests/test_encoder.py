@@ -21,7 +21,6 @@ from coex.encoder import (
     encode,
     encoder_layer,
     feed_forward,
-    init_encoder_params,
     multi_head_attention,
     pad_batch,
 )
@@ -60,7 +59,7 @@ def test_config_validation():
 
 def test_init_ranges_and_shapes():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(0))
+    params = init_model_params(cfg, 1, Rng(0)).encoder
     assert params.token_emb.shape == (11, 8)
     assert params.segment_emb.shape == (2, 8)
     assert params.position_emb.shape == (12, 8)
@@ -78,12 +77,12 @@ def test_init_ranges_and_shapes():
 
 def test_init_rejects_empty_vocab():
     with pytest.raises(ValueError):
-        init_encoder_params(small_config(vocab_size=0), Rng(0))
+        init_model_params(small_config(vocab_size=0), 1, Rng(0)).encoder
 
 
 def test_embed_inputs_is_sum_of_three_tables():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(1))
+    params = init_model_params(cfg, 1, Rng(1)).encoder
     x = make_input([2, 5, 7, 3])
     h = embed_inputs(x, params, cfg)
     manual = (
@@ -96,7 +95,7 @@ def test_embed_inputs_is_sum_of_three_tables():
 
 def test_embed_inputs_rejects_long_sequence():
     cfg = small_config(max_seq_len=3)
-    params = init_encoder_params(cfg, Rng(1))
+    params = init_model_params(cfg, 1, Rng(1)).encoder
     with pytest.raises(ValueError) as err:
         embed_inputs(make_input([1, 2, 3, 4]), params, cfg)
     assert "3" in str(err.value)
@@ -108,7 +107,7 @@ def test_segment_gradient_is_the_row_scatter_bit_for_bit(seed):
     # the B·L rows, padding included, and must equal the per-row scatter of
     # a segment-id lookup bit for bit, -0.0 included
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(seed))
+    params = init_model_params(cfg, 1, Rng(seed)).encoder
     x = pad_batch([np.array([2, 5, 7, 3]), np.array([2, 9, 4, 6, 8, 1, 10, 3]), np.array([2, 3])])
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((x.size, cfg.model_dim)) * 10.0 ** rng.integers(-6, 6, (x.size, 1))
@@ -135,7 +134,7 @@ def test_attention_additive_mask_zeroes_weights_exactly():
 
 def test_masked_value_rows_cannot_influence_output():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(2))
+    params = init_model_params(cfg, 1, Rng(2)).encoder
     n = 6
     rng = np.random.default_rng(0)
     base = rng.normal(scale=0.5, size=(n, cfg.model_dim)).astype(np.float32)
@@ -149,7 +148,7 @@ def test_masked_value_rows_cannot_influence_output():
 
 def test_attention_permutation_equivariance_without_positions():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(3))
+    params = init_model_params(cfg, 1, Rng(3)).encoder
     rng = np.random.default_rng(1)
     x = rng.normal(scale=0.5, size=(5, cfg.model_dim)).astype(np.float32)
     mask = np.ones((1, 5), dtype=bool)
@@ -161,7 +160,7 @@ def test_attention_permutation_equivariance_without_positions():
 
 def test_encoder_layer_with_zero_weights_is_double_layer_norm():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(4))
+    params = init_model_params(cfg, 1, Rng(4)).encoder
     layer = params.layers[0]
     for w in (layer.w_q, layer.w_k, layer.w_v, layer.w_o, layer.ffn_w1, layer.ffn_w2):
         w.data[:] = 0.0
@@ -179,7 +178,7 @@ def test_encoder_layer_with_zero_weights_is_double_layer_norm():
 
 def test_feed_forward_matches_manual():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(5))
+    params = init_model_params(cfg, 1, Rng(5)).encoder
     layer = params.layers[1]
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, cfg.model_dim)).astype(np.float32)
@@ -191,7 +190,7 @@ def test_feed_forward_matches_manual():
 
 def test_encode_shape_and_determinism():
     cfg = small_config(dropout_p=0.2)
-    params = init_encoder_params(cfg, Rng(6))
+    params = init_model_params(cfg, 1, Rng(6)).encoder
     x = make_input([2, 4, 6, 8, 10])
     out1 = encode(x, params, cfg, training=True, rng=Rng(99))
     out2 = encode(x, params, cfg, training=True, rng=Rng(99))
@@ -203,7 +202,7 @@ def test_encode_shape_and_determinism():
 
 def test_padded_batch_encodes_each_sentence_as_alone():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(9))
+    params = init_model_params(cfg, 1, Rng(9)).encoder
     sentences = [np.array([2, 5, 7, 3]), np.array([2, 9, 4, 6, 8, 1, 10, 3]), np.array([2, 3])]
     x = pad_batch(sentences)
     assert x.shape == (3, 8) and x.dtype == np.int64
@@ -218,7 +217,7 @@ def test_padded_batch_encodes_each_sentence_as_alone():
 
 def test_encode_inference_mode_builds_no_graph():
     cfg = small_config()
-    params = init_encoder_params(cfg, Rng(7))
+    params = init_model_params(cfg, 1, Rng(7)).encoder
     for _, p in _named(params):
         p.requires_grad = False
     out = encode(make_input([1, 2, 3]), params, cfg)
@@ -244,7 +243,7 @@ def test_encoder_grad_check_float64():
         vocab_size=9, model_dim=4, num_heads=2, ffn_dim=6,
         num_layers=1, max_seq_len=6, dropout_p=0.0,
     )
-    params = init_encoder_params(cfg, Rng(8), dtype=np.float64)
+    params = init_model_params(cfg, 1, Rng(8), dtype=np.float64).encoder
     x = make_input([1, 3, 5, 7])
     tensors = [p for _, p in _named(params)]
 
@@ -312,7 +311,7 @@ def _scale_attention(layer, s: float):
 def test_no_grad_encode_is_bit_identical_without_skip(monkeypatch):
     calls = _counting_softmax(monkeypatch)
     cfg = _attention_config()
-    params = init_encoder_params(cfg, Rng(21))
+    params = init_model_params(cfg, 1, Rng(21)).encoder
     full, frozen, softmaxes = _full_and_frozen_encode(
         make_input([2, 7, 11, 4, 9, 3]), params, cfg, calls, monkeypatch
     )
@@ -324,7 +323,7 @@ def test_no_grad_encode_is_bit_identical_without_skip(monkeypatch):
 def test_no_grad_encode_is_bit_identical_with_tiny_attention(monkeypatch, scale):
     calls = _counting_softmax(monkeypatch)
     cfg = _attention_config()
-    params = init_encoder_params(cfg, Rng(22))
+    params = init_model_params(cfg, 1, Rng(22)).encoder
     _scale_attention(params.layers[1], scale)
     full, frozen, softmaxes = _full_and_frozen_encode(
         make_input([2, 5, 17, 8, 23, 1, 12, 3]), params, cfg, calls, monkeypatch
@@ -339,7 +338,7 @@ def test_uniform_attention_skip_is_exact_at_its_bound(monkeypatch):
     # skip fires, and the softmax it replaces is exactly uniform too
     calls = _counting_softmax(monkeypatch)
     cfg = _attention_config()
-    params = init_encoder_params(cfg, Rng(23))
+    params = init_model_params(cfg, 1, Rng(23)).encoder
     x = make_input([2, 9, 14, 6, 28, 4, 19, 3])
     h = embed_inputs(x, params, cfg).data
     layer = params.layers[0]
@@ -354,7 +353,7 @@ def test_uniform_attention_skip_is_exact_at_its_bound(monkeypatch):
 def test_no_grad_encode_is_bit_identical_on_padded_batch(monkeypatch):
     calls = _counting_softmax(monkeypatch)
     cfg = _attention_config()
-    params = init_encoder_params(cfg, Rng(24))
+    params = init_model_params(cfg, 1, Rng(24)).encoder
     _scale_attention(params.layers[0], 1e-20)
     sentences = [
         np.array([2, 5, 7, 3]),

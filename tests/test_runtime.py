@@ -195,6 +195,29 @@ def test_load_refuses_tensors_the_config_does_not_imply(tmp_path):
             load_inference_model(path)
 
 
+def test_vocab_or_schema_disagreeing_with_tensors_is_refused(tmp_path):
+    # before the check, both artifacts loaded: the first then failed each
+    # extract that met the extra token, the second each extract that decoded
+    # an object past the schema's second predicate
+    from coex.data import RESERVED, Vocab
+    from coex.tagger import RelationSchema
+    from coex.trainer import save_checkpoint
+
+    _, vocab, schema, cfg, params = small_setup()
+    longer = Vocab.from_tokens(vocab.tokens[len(RESERVED) :] + ["extra"])
+    shorter = RelationSchema(schema.predicates[:2])
+    for v, s in ((longer, schema), (vocab, shorter)):
+        refused = tmp_path / "refused.bin"
+        with pytest.raises(CheckpointIntegrityError, match="vocab and schema sizes"):
+            export_model(params, cfg, v, s, refused)
+        assert not refused.exists()
+        path = tmp_path / "written.bin"
+        extra = {"vocab": v.tokens[len(RESERVED) :], "schema": list(s.predicates)}
+        save_checkpoint(params, cfg, path, extra=extra)
+        with pytest.raises(CheckpointIntegrityError, match="vocab and schema sizes"):
+            load_inference_model(path)
+
+
 def test_response_byte_count_fixed_point():
     # the count participates in its own serialization; force digit growth
     for pad in range(0, 40, 7):

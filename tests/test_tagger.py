@@ -31,13 +31,21 @@ from coex.tagger import (
     extract_triples,
     init_model_params,
     joint_loss,
+    model_shapes,
     pointer_bce,
     pointer_cutoff,
     relation_cell_weights,
     relation_object_scores,
     subject_scores,
 )
-from oracles import bce_mean, object_labels, objects_by_column, spans_loop, squared_score
+from oracles import (
+    bce_mean,
+    init_model_params_reference,
+    object_labels,
+    objects_by_column,
+    spans_loop,
+    squared_score,
+)
 
 LN075 = -math.log(0.75)  # BCE of a 0.25 score against a zero label
 ON = 3.0  # a pointer logit whose squared score, 0.91, reaches the default 0.5
@@ -84,6 +92,21 @@ def test_named_tensors_cover_everything_once():
     assert len(names) == len(set(names))
     assert len(names) == 3 + 2 * 16 + 4
     assert params.num_relations == 3
+    assert [(n, t.shape) for n, t in params.named_tensors()] == list(model_shapes(cfg, 3).items())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_init_draws_in_the_pinned_order(dtype, num_layers):
+    cfg = small_config(num_layers=num_layers)
+    params = init_model_params(cfg, 3, Rng(4), dtype=dtype)
+    reference = init_model_params_reference(cfg, 3, Rng(4), dtype=dtype)
+    named = dict(params.named_tensors())
+    assert sorted(named) == sorted(reference)
+    for name, t in named.items():
+        assert t.requires_grad, name
+        assert (t.dtype, t.shape) == (reference[name].dtype, reference[name].shape), name
+        assert t.data.tobytes() == reference[name].tobytes(), name
 
 
 def test_decode_spans_nearest_end_and_unpaired():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -463,6 +464,23 @@ def test_checkpoint_header_corruption_detected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointIntegrityError, match="shape"):
         load_checkpoint(path)
+
+
+def test_checkpoint_missing_or_unexpected_tensor_detected(tmp_path):
+    # header and records agree, so only the check against the config's tensor
+    # table can refuse these
+    params, cfg = fresh_params()
+    named = params.named_tensors()
+    extra = ("extra", Tensor(np.zeros(3, dtype=np.float32)))
+    for tensors, match in (
+        ([(n, t) for n, t in named if n != "layer0.w_k"], "missing: \\['layer0.w_k'\\]"),
+        (named + [extra], "unexpected: \\['extra'\\]"),
+    ):
+        stub = SimpleNamespace(num_relations=params.num_relations, named_tensors=lambda: tensors)
+        path = tmp_path / "model.coex"
+        save_checkpoint(stub, cfg, path)
+        with pytest.raises(CheckpointIntegrityError, match=match):
+            load_checkpoint(path)
 
 
 def test_checkpoint_unreadable_header(tmp_path):
