@@ -16,7 +16,7 @@ import numpy as np
 
 from .autograd import Rng
 from .encoder import PAD_ID
-from .tagger import RelationSchema, SchemaError, Span, SubjectAnnotation
+from .tagger import RelationSchema, SchemaError, Span, SubjectAnnotation, span_rows
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 UNK_ID, CLS_ID, SEP_ID = 1, 2, 3
@@ -197,13 +197,14 @@ def load_schema(path) -> RelationSchema:
 @dataclass
 class EncodedExample:
     """Token ids plus gold facts as token spans: each gold subject with its
-    (relation, object) pairs."""
+    (relation, object) pairs. negative_spans is an int64 [k, 2] array of
+    inclusive (start, end) rows."""
 
     text: str
     input_ids: np.ndarray
     char_offsets: list[tuple[int, int]]
     subjects: list[SubjectAnnotation]
-    negative_spans: list[Span] = field(default_factory=list)
+    negative_spans: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
     dropped_triples: int = 0
 
 
@@ -287,8 +288,9 @@ def sample_negatives(
 ) -> EncodedExample:
     """Attach k subject-conditioning spans that are not gold subjects.
 
-    The pool is every content-token span of length 1..max_span; sampling is
-    without replacement and deterministic under the given rng.
+    The pool is every content-token span of length 1..max_span in (start,
+    end) order; sampling is without replacement and deterministic under the
+    given rng, and the drawn rows keep pool order.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -296,17 +298,14 @@ def sample_negatives(
         raise ValueError("sample_negatives requires an rng")
     n = len(ex.input_ids)
     first, last = 1, n - 2  # content region between the specials
-    gold = {s.span for s in ex.subjects}
-    pool = [
-        Span(a, b)
-        for a in range(first, last + 1)
-        for b in range(a, min(a + max_span, last + 1))
-        if Span(a, b) not in gold
-    ]
+    start = np.arange(first, last + 1, dtype=np.int64)[:, None]
+    end = start + np.arange(max(max_span, 0), dtype=np.int64)
+    keep = end <= last
+    gold = span_rows(s.span for s in ex.subjects)
+    keep &= ~((start[..., None] == gold[:, 0]) & (end[..., None] == gold[:, 1])).any(axis=2)
+    pool = np.stack([np.broadcast_to(start, end.shape)[keep], end[keep]], axis=1)
     picks = rng.permutation(len(pool))[: min(k, len(pool))]
-    ex.negative_spans = sorted(
-        (pool[i] for i in picks), key=lambda s: (s.start, s.end)
-    )
+    ex.negative_spans = pool[np.sort(picks)]
     return ex
 
 

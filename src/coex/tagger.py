@@ -3,8 +3,9 @@
 One shared encoder feeds two heads. The subject head tags start/end pointers
 per token. The relation-object head, conditioned on a subject span by adding
 the span's mean hidden vector to every position, tags start/end pointers per
-token per relation. It takes the spans and conditions itself: it averages
-each span's hidden rows (condition_on_spans) and, being linear, is computed
+token per relation. It takes the spans, one int64 [k, 2] array of inclusive
+(start, end) rows per example, and conditions itself: it averages each
+span's hidden rows (condition_on_spans) and, being linear, is computed
 factorized, (h + m)·W + b = h·W + m·W + b, so it never forms the conditioned
 rows. A pointer's probability is the squared sigmoid of its logit. The heads
 emit logits only: the loss reads them fused, and decode compares them with
@@ -61,6 +62,12 @@ class Span:
 
     def __len__(self) -> int:
         return self.end - self.start + 1
+
+
+def span_rows(spans) -> np.ndarray:
+    """Spans as an int64 [k, 2] array of inclusive (start, end) rows, the form
+    the relation head takes."""
+    return np.array([(sp.start, sp.end) for sp in spans], dtype=np.int64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -201,9 +208,10 @@ def subject_scores(
 
 
 def relation_object_scores(
-    hidden: Tensor, spans: list[list[Span]], lengths: list[int], params: ModelParams
+    hidden: Tensor, spans: list[np.ndarray], lengths: list[int], params: ModelParams
 ) -> Tensor:
-    """Logits [sum of len(spans[b]) * lengths[b], 2R]: per example, one block of
+    """Logits [sum of len(spans[b]) * lengths[b], 2R], where spans[b] is example
+    b's int64 [k, 2] array of (start, end) rows: per example, one block of
     its rows per span, each hidden·W plus that span's mean hidden row·W, plus
     the bias. Columns [0:R] are starts, [R:2R] ends."""
     means = condition_on_spans(hidden, spans, lengths)
@@ -304,47 +312,59 @@ def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
 
     Nothing in coex calls it any more; bench/tracing.py still wraps it by
     name, and ROADMAP item 3 deletes it."""
-    return add(hidden, condition_on_spans(hidden, [[span]], [hidden.shape[0]]))
+    return add(hidden, condition_on_spans(hidden, [span_rows([span])], [hidden.shape[0]]))
 
 
-def _span_blocks(rows: int, spans: list[list[Span]], lengths: list[int]):
-    """(first token row, length, first span row, spans, first packed row) of
-    each example that has spans, for [B·L] token rows, and spans and their
+def _span_blocks(rows: int, spans: list[np.ndarray], lengths: list[int]):
+    """(first token row, length, first span row, span rows, first packed row)
+    of each example that has spans, for [B·L] token rows, and spans and their
     blocks of token rows packed example by example."""
     if not lengths or len(spans) != len(lengths) or rows % len(lengths):
-        raise ValueError(f"{len(spans)} span lists and {len(lengths)} lengths for {rows} rows")
+        raise ValueError(f"{len(spans)} span arrays and {len(lengths)} lengths for {rows} rows")
     width = rows // len(lengths)
     blocks, first_span, first_packed = [], 0, 0
     for b, (ss, n) in enumerate(zip(spans, lengths)):
-        if not ss:
-            continue
-        if n > width or max(sp.end for sp in ss) >= n:
-            raise ValueError(f"a span of example {b} exceeds its sequence length {n}")
-        blocks.append((b * width, n, first_span, ss, first_packed))
-        first_span += len(ss)
-        first_packed += len(ss) * n
+        if len(ss):
+            if n > width:
+                raise ValueError(f"example {b} is {n} rows long in a {width}-row slot")
+            blocks.append((b * width, n, first_span, ss, first_packed))
+            first_span += len(ss)
+            first_packed += len(ss) * n
     return blocks
 
 
 def condition_on_spans(
-    hidden: Tensor, spans: list[list[Span]], lengths: list[int]
+    hidden: Tensor, spans: list[np.ndarray], lengths: list[int]
 ) -> Tensor:
     """Mean hidden row of every span of a padded batch: [sum of len(spans[b]), d].
 
-    hidden is [B·L, d]; example b has spans[b] over its first lengths[b] rows.
-    Rows follow the spans example by example. One matmul by a constant
-    averaging matrix, so the gradient needs no backward of its own.
+    hidden is [B·L, d]; example b has the [k, 2] (start, end) rows spans[b]
+    over its first lengths[b] rows, and a row that is not
+    0 <= start <= end < lengths[b] raises ValueError. Rows follow the spans
+    example by example. One matmul by a constant averaging matrix, so the
+    gradient needs no backward of its own.
     """
     rows = hidden.shape[0]
+    blocks = _span_blocks(rows, spans, lengths)
     avg = np.zeros((sum(len(ss) for ss in spans), rows), dtype=hidden.dtype)
-    for first, _, lo, ss, _ in _span_blocks(rows, spans, lengths):
-        for i, sp in enumerate(ss):
-            avg[lo + i, first + sp.start : first + sp.end + 1] = 1.0 / len(sp)
+    if blocks:
+        first, n, _, ss, _ = zip(*blocks)
+        counts = [len(s) for s in ss]
+        local, first, limit = np.concatenate(ss), np.repeat(first, counts), np.repeat(n, counts)
+        start, end = local[:, 0], local[:, 1]
+        if not ((start >= 0) & (end >= start) & (end < limit)).all():
+            raise ValueError("a span row is not 0 <= start <= end < its example's length")
+        # one cell per hidden row a span covers
+        length = end - start + 1
+        start = start + first
+        span = np.repeat(np.arange(len(local)), length)
+        token = np.arange(len(span)) - (np.cumsum(length) - length - start)[span]
+        avg[span, token] = (1.0 / length)[span]
     return matmul(Tensor(avg), hidden)
 
 
 def _pack_span_blocks(
-    tokens: Tensor, per_span: Tensor, bias: Tensor, spans: list[list[Span]], lengths: list[int]
+    tokens: Tensor, per_span: Tensor, bias: Tensor, spans: list[np.ndarray], lengths: list[int]
 ) -> Tensor:
     """Per example b and each of its spans s, the block tokens[rows of b] +
     per_span[s], packed into [sum of len(spans[b]) * lengths[b], C], with bias
@@ -519,7 +539,10 @@ def joint_loss(
     r = params.num_relations
     dtype = params.encoder.token_emb.dtype
     lengths = [len(ex.input_ids) for ex in batch]
-    spans = [[sub.span for sub in ex.subjects] + list(ex.negative_spans) for ex in batch]
+    spans = [
+        np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
+        for ex in batch
+    ]
     ids = pad_batch([ex.input_ids for ex in batch])
     width = ids.shape[1]
     hidden = encode(ids, params.encoder, config, training, rng)
@@ -618,7 +641,7 @@ def extract_triples(
     if not subj_spans:
         return triples
     n = len(ids)
-    logits = relation_object_scores(hidden, [subj_spans], [n], params).data
+    logits = relation_object_scores(hidden, [span_rows(subj_spans)], [n], params).data
     for i, s_span in enumerate(subj_spans):
         for rel, o_span in decode_objects(logits[i * n : (i + 1) * n], mask, threshold):
             t = Triple(

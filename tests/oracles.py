@@ -11,7 +11,10 @@ joint_loss_loop is the per-example cascade loss, with dense labels on
 every row, that the batched joint_loss is checked against, and
 MaskRecorder/MaskReplay hand both the same dropout masks;
 relation_logits_ref and extract_triples_per_subject are the relation head
-written unfactorized, (h + m_s)·W + b one span at a time;
+written unfactorized, (h + m_s)·W + b one span at a time, and
+span_average_loop the averaging matrix condition_on_spans must build, filled
+span by span; sample_negatives_ref is the pool of Span objects that
+sample_negatives must draw from row for row;
 layer_norm_ref and softmax_ref are the forwards that layer_norm and softmax
 must equal bit for bit; sigmoid_where, pointer_bce_dense and adagrad_step_ref
 are the sign-selected sigmoid, the dense pointer BCE and the out-of-place
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from coex.autograd import Tensor, _make, _sigmoid_exp, add, dropout, matmul, mul
-from coex.data import CLS_ID, SEP_ID, _truncate, tokenize
+from coex.data import CLS_ID, NEGATIVE_MAX_SPAN, SEP_ID, _truncate, tokenize
 from coex.encoder import PAD_ID, encode
 from coex.tagger import (
     LossParts,
@@ -42,6 +45,7 @@ from coex.tagger import (
     decode_subject_spans,
     relation_cell_weights,
     relation_object_scores,
+    span_rows,
     subject_scores,
 )
 
@@ -192,8 +196,8 @@ def joint_loss_loop(batch, params, config, rng=None, training=True, weighting=No
         subject_terms.append(pointer_bce_dense(s_logits, s_labels, w / (2 * n_unmasked)))
 
         h_rel = dropout(hidden, config.dropout_p, training, rng)
-        spans = [sub.span for sub in ex.subjects] + list(ex.negative_spans)
-        if not spans:
+        spans = np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
+        if not len(spans):
             continue
         labels = np.zeros((len(spans), n, 2 * r), dtype=dtype)
         for i, sub in enumerate(ex.subjects):
@@ -239,9 +243,40 @@ def relation_logits_ref(hidden: np.ndarray, spans, lengths, w: np.ndarray, b: np
     blocks = []
     for i, (ss, n) in enumerate(zip(spans, lengths)):
         rows = h[i * width : i * width + n]
-        for sp in ss:
-            blocks.append((rows + rows[sp.start : sp.end + 1].mean(axis=0)) @ w + b)
+        for start, end in ss:
+            blocks.append((rows + rows[start : end + 1].mean(axis=0)) @ w + b)
     return np.concatenate(blocks)
+
+
+def span_average_loop(rows: int, spans, lengths, dtype) -> np.ndarray:
+    """The [S, rows] averaging matrix of condition_on_spans, filled one span
+    at a time with 1 / length over the span's rows of its padded example."""
+    width = rows // len(lengths)
+    avg = np.zeros((sum(len(ss) for ss in spans), rows), dtype=dtype)
+    i = 0
+    for b, ss in enumerate(spans):
+        for start, end in ss:
+            start, end = b * width + int(start), b * width + int(end)
+            avg[i, start : end + 1] = 1.0 / (end - start + 1)
+            i += 1
+    return avg
+
+
+def sample_negatives_ref(ex, k: int, rng, max_span: int = NEGATIVE_MAX_SPAN) -> list[Span]:
+    """The negatives sample_negatives draws, as Span objects: the pool is every
+    non-gold content span of length 1..max_span, built one Span at a time, and
+    the same permutation draw picks from it, sorted by (start, end)."""
+    n = len(ex.input_ids)
+    first, last = 1, n - 2
+    gold = {s.span for s in ex.subjects}
+    pool = [
+        Span(a, b)
+        for a in range(first, last + 1)
+        for b in range(a, min(a + max_span, last + 1))
+        if Span(a, b) not in gold
+    ]
+    picks = rng.permutation(len(pool))[: min(k, len(pool))]
+    return sorted((pool[i] for i in picks), key=lambda s: (s.start, s.end))
 
 
 def extract_triples_per_subject(text, params, config, vocab, schema, threshold=0.5):

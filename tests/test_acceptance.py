@@ -36,7 +36,6 @@ from coex.evaluator import f1, score_triples, t_test, triples_to_payload
 from coex.runtime import create_server, export_model, load_inference_model
 from coex.tagger import (
     RelationSchema,
-    Span,
     extract_triples,
     init_model_params,
     joint_loss,
@@ -149,7 +148,7 @@ def test_criterion_04_joint_gradient_check():
     )
     ex = encode_example(raw, vocab, schema, cfg.max_seq_len)
     sample_negatives(ex, 4, Rng(0))
-    assert len(ex.input_ids) == 8 and ex.subjects and ex.negative_spans
+    assert len(ex.input_ids) == 8 and ex.subjects and len(ex.negative_spans)
 
     errors = {}
     for mode, dtype in (("32-bit", np.float32), ("64-bit", np.float64)):
@@ -238,7 +237,7 @@ def _scores_for(text: str, params, cfg, vocab):
     subj = squared_score(subject_scores(hidden, params).data)
     start = int(np.argmax(subj[:, 0]))
     end = int(np.argmax(subj[start:, 1])) + start
-    spans, lengths = [[Span(start, end)]], [len(ids)]
+    spans, lengths = [np.array([[start, end]], dtype=np.int64)], [len(ids)]
     rel = relation_object_scores(hidden, spans, lengths, params)
     return subj, squared_score(rel.data)
 

@@ -242,14 +242,15 @@ def test_sample_negatives_pool_rules():
     enc = encode_example(raw, _vocab_for(text), default_schema())
     n = len(enc.input_ids)
     sample_negatives(enc, k=1000, rng=Rng(0), max_span=3)
-    gold = {s.span for s in enc.subjects}
+    assert enc.negative_spans.dtype == np.int64 and enc.negative_spans.shape[1] == 2
+    gold = {(s.span.start, s.span.end) for s in enc.subjects}
     seen = set()
-    for sp in enc.negative_spans:
-        assert sp not in gold
-        assert 1 <= sp.start <= sp.end <= n - 2
-        assert len(sp) <= 3
-        assert sp not in seen
-        seen.add(sp)
+    for start, end in enc.negative_spans.tolist():
+        assert (start, end) not in gold
+        assert 1 <= start <= end <= n - 2
+        assert end - start + 1 <= 3
+        assert (start, end) not in seen
+        seen.add((start, end))
     # full pool minus the gold span
     content = n - 2
     pool = sum(max(0, content - l + 1) for l in range(1, 4)) - 1
@@ -263,11 +264,45 @@ def test_sample_negatives_k_limits_and_determinism():
     enc2 = encode_example(corpus[0], vocab, default_schema())
     sample_negatives(enc1, k=7, rng=Rng(11))
     sample_negatives(enc2, k=7, rng=Rng(11))
-    assert enc1.negative_spans == enc2.negative_spans
+    assert np.array_equal(enc1.negative_spans, enc2.negative_spans)
     assert len(enc1.negative_spans) == 7
     enc3 = encode_example(corpus[0], vocab, default_schema())
     sample_negatives(enc3, k=7, rng=Rng(12))
-    assert enc3.negative_spans != enc1.negative_spans
+    assert not np.array_equal(enc3.negative_spans, enc1.negative_spans)
+
+
+def _pool_cases():
+    """(example, max_span, k) cases: several sentences and rng seeds, k = 0,
+    k at least the pool, a gold subject inside the pool, and a 3-token
+    example whose one content token is its gold subject, so its pool is
+    empty."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_sentences=4, overlap_fraction=0.5, seed=5))
+    tiny = RawExample("甲", [RawTriple("甲", "treats", "甲")])
+    vocab = build_vocab(corpus + [tiny])
+    examples = [encode_example(raw, vocab, default_schema()) for raw in corpus + [tiny]]
+    assert len(examples[-1].input_ids) == 3
+    for ex in examples:
+        for max_span in (1, 3, 10):
+            for k in (0, 5, 128, 1000):
+                yield ex, max_span, k
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_sample_negatives_draws_the_span_pool_reference(seed):
+    from oracles import sample_negatives_ref
+
+    gold_in_pool = empty_pool = 0
+    for ex, max_span, k in _pool_cases():
+        got_rng, ref_rng = Rng(seed), Rng(seed)
+        want = sample_negatives_ref(ex, k, ref_rng, max_span)
+        got = sample_negatives(ex, k, got_rng, max_span).negative_spans
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert got.tolist() == [[sp.start, sp.end] for sp in want]
+        # the same draw: both leave the rng in the same state
+        assert got_rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        gold_in_pool += any(len(s.span) <= max_span for s in ex.subjects)
+        empty_pool += len(ex.input_ids) == 3 and not len(got)
+    assert gold_in_pool and empty_pool
 
 
 def test_has_overlap():

@@ -26,7 +26,6 @@ from coex.trainer import (
     read_checkpoint,
 )
 from coex.runtime import (
-    InferenceModel,
     _close_with_self_byte_count,
     create_server,
     export_model,

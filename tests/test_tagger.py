@@ -12,14 +12,12 @@ from coex.data import (
     build_vocab,
     default_schema,
     encode_corpus,
-    encode_example,
     generate_synthetic_corpus,
     sample_negatives,
 )
 from coex.encoder import PAD_ID, EncoderConfig
 from coex.tagger import (
     LossWeighting,
-    ModelParams,
     RelationSchema,
     SchemaError,
     Span,
@@ -36,6 +34,7 @@ from coex.tagger import (
     pointer_cutoff,
     relation_cell_weights,
     relation_object_scores,
+    span_rows,
     subject_scores,
 )
 from oracles import (
@@ -49,6 +48,12 @@ from oracles import (
 
 LN075 = -math.log(0.75)  # BCE of a 0.25 score against a zero label
 ON = 3.0  # a pointer logit whose squared score, 0.91, reaches the default 0.5
+
+
+def span_array(*pairs):
+    """Spans as the relation head takes them: an int64 [k, 2] array of
+    (start, end) rows."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def bce_every_row(logits, labels, weights):
@@ -240,7 +245,7 @@ def test_relation_scores_layout():
     r = 3
     params = init_model_params(cfg, num_relations=r, rng=Rng(2))
     h = Tensor(np.random.default_rng(2).normal(size=(4, cfg.model_dim)).astype(np.float32))
-    spans = [[Span(0, 1), Span(2, 2)]]
+    spans = [span_array((0, 1), (2, 2))]
     ro = relation_object_scores(h, spans, [4], params)
     assert ro.shape == (8, 2 * r)
     # columns [0:R] are starts and [R:2R] ends
@@ -263,25 +268,25 @@ def test_condition_on_spans_matches_per_span_loop():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(5, 3)).astype(np.float32)
     spans = [Span(1, 1), Span(0, 3), Span(2, 4)]
-    means = condition_on_spans(Tensor(h), [spans], [5])
+    means = condition_on_spans(Tensor(h), [span_rows(spans)], [5])
     for i, sp in enumerate(spans):
         single = condition_on_subject(Tensor(h), sp)
         np.testing.assert_allclose(means.data[i], (single.data - h)[0], rtol=1e-5, atol=1e-7)
     # a padded batch of three: example 1 has no spans, example 2 is 3 rows
     # long in a 5-row slot; one mean per span, example by example
     h3 = rng.normal(size=(15, 3)).astype(np.float32)
-    spans3 = [[Span(0, 4), Span(2, 2)], [], [Span(1, 2)]]
+    spans3 = [span_array((0, 4), (2, 2)), span_array(), span_array((1, 2))]
     packed = condition_on_spans(Tensor(h3), spans3, [5, 4, 3])
     want = [h3[0:5].mean(axis=0), h3[2], h3[11:13].mean(axis=0)]
     np.testing.assert_allclose(packed.data, np.stack(want), rtol=1e-5)
     with pytest.raises(ValueError):
-        condition_on_spans(Tensor(h3), [[Span(1, 3)], [], []], [3, 4, 5])
+        condition_on_spans(Tensor(h3), [span_array((1, 3)), span_array(), span_array()], [3, 4, 5])
 
 
 def test_condition_on_spans_gradient():
     rng = Rng(5)
     h = Tensor(rng.uniform(-1, 1, (10, 3), dtype=np.float64), requires_grad=True)
-    spans = [[Span(1, 2), Span(0, 4), Span(3, 3)], [Span(0, 2), Span(2, 2)]]
+    spans = [span_array((1, 2), (0, 4), (3, 3)), span_array((0, 2), (2, 2))]
 
     def f(params):
         from coex.autograd import tsum
@@ -290,6 +295,47 @@ def test_condition_on_spans_gradient():
         return tsum(square(condition_on_spans(params[0], spans, [5, 3])))
 
     assert grad_check(f, [h], eps=1e-6) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "spans, lengths",
+    [
+        ([span_array((-1, 2))], [5]),  # start < 0
+        ([span_array((1, 2), (3, 2))], [5]),  # end < start
+        ([span_array((2, 5))], [5]),  # end >= n
+        ([span_array((1, 1)), span_array((3, 4))], [5, 3]),  # past a shorter example's length
+        ([span_array((1, 1))], [5, 5]),  # one span array for two lengths
+        ([span_array((1, 1))], [12]),  # an example longer than its 10-row slot
+    ],
+    ids=["negative-start", "end-before-start", "end-past-n", "past-example-length", "count", "slot"],
+)
+def test_malformed_span_rows_are_refused(spans, lengths):
+    h = Tensor(np.ones((10, 3), dtype=np.float32))
+    with pytest.raises(ValueError):
+        condition_on_spans(h, spans, lengths)
+    cfg = small_config()
+    params = init_model_params(cfg, num_relations=2, rng=Rng(6))
+    with pytest.raises(ValueError):
+        relation_object_scores(Tensor(np.ones((10, cfg.model_dim), dtype=np.float32)), spans, lengths, params)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_condition_on_spans_matrix_equals_span_loop(dtype):
+    # hidden = I reads the averaging matrix back exactly: each cell is one
+    # product with 1 plus exact zeros
+    from oracles import span_average_loop
+
+    batch, _, _ = _mixed_length_batch()
+    lengths = [len(ex.input_ids) for ex in batch] + [4]
+    spans = [
+        np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
+        for ex in batch
+    ] + [span_array()]
+    rows = max(lengths) * len(lengths)
+    got = condition_on_spans(Tensor(np.eye(rows, dtype=dtype)), spans, lengths).data
+    want = span_average_loop(rows, spans, lengths, dtype)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_relation_head_matches_unfactorized_oracle():
@@ -302,7 +348,7 @@ def test_relation_head_matches_unfactorized_oracle():
     h = Tensor(rng.normal(size=(15, cfg.model_dim)).astype(np.float32))
     # padded B = 3: nested and overlapping spans, an example with none, and a
     # 3-row example in a 5-row slot
-    spans = [[Span(0, 4), Span(1, 3), Span(2, 2), Span(2, 4)], [], [Span(0, 1), Span(1, 2)]]
+    spans = [span_array((0, 4), (1, 3), (2, 2), (2, 4)), span_array(), span_array((0, 1), (1, 2))]
     lengths = [5, 4, 3]
     ro = relation_object_scores(h, spans, lengths, params)
     want = relation_logits_ref(h.data, spans, lengths, params.relation_w.data, params.relation_b.data)
@@ -313,7 +359,7 @@ def test_relation_head_matches_unfactorized_oracle():
 def test_relation_head_gradient_check():
     # as many spans as rows in each example, so a backward that swaps its
     # span and token sums still runs, and must fail on its values
-    spans = [[Span(0, 2), Span(1, 1), Span(0, 1)], [Span(0, 1), Span(1, 1)]]
+    spans = [span_array((0, 2), (1, 1), (0, 1)), span_array((0, 1), (1, 1))]
     lengths = [3, 2]
     rows = 3 * 3 + 2 * 2
     errors = {}
@@ -653,7 +699,7 @@ def test_pointer_bce_gold_rows_equal_dense_oracle(monkeypatch, weighting, dtype)
     bare = encode_corpus([RawExample("乙丙甲乙丙", [])], vocab, schema, 128)[0]
     sample_negatives(bare, 7, Rng(3))
     batch = [batch[0], bare, batch[1]]
-    assert not bare.subjects and bare.negative_spans
+    assert not bare.subjects and len(bare.negative_spans)
     cfg = small_config(vocab_size=len(vocab), max_seq_len=64)
     params = init_model_params(cfg, len(schema), Rng(13), dtype=dtype)
     calls = _record_pointer_bce(monkeypatch)
@@ -688,7 +734,7 @@ def test_relation_weights_from_gold_blocks_equal_full_block_weights(monkeypatch,
     # joint_loss boosts only the gold span blocks; the oracle runs every
     # block, negatives included, through relation_cell_weights
     batch, vocab, schema = _mixed_length_batch()
-    assert all(ex.subjects and ex.negative_spans for ex in batch)
+    assert all(ex.subjects and len(ex.negative_spans) for ex in batch)
     cfg = small_config(vocab_size=len(vocab), max_seq_len=64)
     params = init_model_params(cfg, len(schema), Rng(13))
     calls = _record_pointer_bce(monkeypatch)
