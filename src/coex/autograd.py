@@ -1,9 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Everything is numpy underneath. float32 is the working precision; the same
-graph code runs in float64 when gradient checking needs headroom. An op only
-records parents and a backward closure when some input requires grad, so a
-frozen model executes forward passes without building any graph.
+graph code runs in float64 when gradient checking needs headroom. Every op
+takes Tensors or plain ndarrays. It records parents and a backward closure
+only when some operand is a Tensor that requires grad; an ndarray operand
+then joins the graph as a constant. Otherwise it returns the plain ndarray
+and builds no Tensor, so a frozen model's forward pass runs on arrays alone.
+`value` reads the array of either form.
 
 Backward closures return one gradient array per parent (or None). The
 engine topologically sorts the graph, seeds d(loss)/d(loss) = 1 and adds
@@ -90,7 +93,7 @@ class Tensor:
         return neg(self)
 
     def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, self.dtype)))
+        return add(self, neg(_operand(other, self.dtype)))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -107,17 +110,27 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+def value(x) -> np.ndarray:
+    """The array behind an op operand or result: a Tensor's data, or x itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _grad(x) -> bool:
+    return isinstance(x, Tensor) and x.requires_grad
+
+
+def _operand(b, dtype):
+    """b itself when it is a Tensor, else b as an array of dtype."""
+    return b if isinstance(b, Tensor) else np.asarray(b, dtype=dtype)
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    """Wrap an op result; the graph edge exists only if a parent needs grad."""
+    """Wrap an op result; the graph edge exists only if a parent needs grad.
+    An ndarray parent joins the graph as a constant Tensor."""
     for p in parents:
-        if p.requires_grad:
-            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
+        if _grad(p):
+            parents = tuple(q if isinstance(q, Tensor) else Tensor(q) for q in parents)
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn)
     return Tensor(data)
 
 
@@ -181,73 +194,91 @@ def backward(loss: Tensor):
 # ops
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
+def add(a, b):
+    b = _operand(b, a.dtype)
+    x, y = value(a), value(b)
     try:
-        out = a.data + b.data
+        out = x + y
     except ValueError:
-        raise ValueError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+        raise ValueError(f"add: shapes {x.shape} and {y.shape} do not broadcast")
+    if not (_grad(a) or _grad(b)):
+        return out
 
     def back(g):
         return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g, x.shape) if _grad(a) else None,
+            _unbroadcast(g, y.shape) if _grad(b) else None,
         )
 
     return _make(out, (a, b), back)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
+def neg(a):
+    out = -value(a)
+    if not _grad(a):
+        return out
+    return _make(out, (a,), lambda g: (-g,))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
+def mul(a, b):
+    b = _operand(b, a.dtype)
+    x, y = value(a), value(b)
     try:
-        out = a.data * b.data
+        out = x * y
     except ValueError:
-        raise ValueError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast")
+        raise ValueError(f"mul: shapes {x.shape} and {y.shape} do not broadcast")
+    if not (_grad(a) or _grad(b)):
+        return out
 
     def back(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g * y, x.shape) if _grad(a) else None,
+            _unbroadcast(g * x, y.shape) if _grad(b) else None,
         )
 
     return _make(out, (a, b), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a, b):
     """2-D x 2-D, or stacks of matrices with equal leading dimensions."""
-    sa, sb = a.data.shape, b.data.shape
+    x, y = value(a), value(b)
+    sa, sb = x.shape, y.shape
     ok = len(sa) == len(sb) >= 2 and sa[:-2] == sb[:-2] and sa[-1] == sb[-2]
     if not ok:
         raise ValueError(f"matmul: incompatible shapes {sa} @ {sb}")
-    out = a.data @ b.data
+    out = x @ y
+    if not (_grad(a) or _grad(b)):
+        return out
 
     def back(g):
-        ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+        ga = g @ np.swapaxes(y, -1, -2) if _grad(a) else None
+        gb = np.swapaxes(x, -1, -2) @ g if _grad(b) else None
         return ga, gb
 
     return _make(out, (a, b), back)
 
 
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = a.data.sum()
+def tsum(a):
+    """Sum of all elements, as a 0-d array of a's dtype."""
+    x = value(a)
+    out = np.asarray(x.sum(), dtype=x.dtype)
+    if not _grad(a):
+        return out
 
     def back(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _make(np.asarray(out, dtype=a.dtype), (a,), back)
+    return _make(out, (a,), back)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0)
+def relu(a):
+    x = value(a)
+    out = np.maximum(x, 0)
+    if not _grad(a):
+        return out
 
     def back(g):
-        return (g * (a.data > 0),)
+        return (g * (x > 0),)
 
     return _make(out, (a,), back)
 
@@ -266,12 +297,15 @@ def _sigmoid_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, e
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ValueError(f"softmax: axis {axis} out of range for shape {a.data.shape}")
-    shifted = a.data - np.maximum.reduce(a.data, axis=axis, keepdims=True)
+def softmax(a, axis: int = -1):
+    x = value(a)
+    if not -x.ndim <= axis < x.ndim:
+        raise ValueError(f"softmax: axis {axis} out of range for shape {x.shape}")
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / np.add.reduce(e, axis=axis, keepdims=True)
+    if not _grad(a):
+        return out
 
     def back(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -280,27 +314,30 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta, eps: float = 1e-5):
     """Normalize over the last axis with population variance; y = gamma*xhat + beta."""
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
+    xd, gd, bd = value(x), value(gamma), value(beta)
+    d = xd.shape[-1]
+    if gd.shape != (d,) or bd.shape != (d,):
         raise ValueError(
-            f"layer_norm: gamma/beta shapes {gamma.data.shape}/{beta.data.shape} do not match feature dim {d}"
+            f"layer_norm: gamma/beta shapes {gd.shape}/{bd.shape} do not match feature dim {d}"
         )
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     # the reduce-then-divide form of .mean, bit for bit, without its call overhead
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    centered = x.data - mu
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
+    centered = xd - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv_sigma = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_sigma
-    out = gamma.data * xhat + beta.data
+    out = gd * xhat + bd
+    if not (_grad(x) or _grad(gamma) or _grad(beta)):
+        return out
 
     def back(g):
         dgamma = (g * xhat).reshape(-1, d).sum(axis=0)
         dbeta = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gamma.data
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = (dxhat - m1 - xhat * m2) * inv_sigma
@@ -309,7 +346,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (x, gamma, beta), back)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tensor:
+def dropout(x, p: float, training: bool, rng: Rng | None = None):
     """Inverted dropout: survivors scaled by 1/(1-p). Identity when not training.
 
     The backward closure keeps the bool keep mask, a quarter of a float32 one.
@@ -320,9 +357,12 @@ def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tens
         return x
     if rng is None:
         raise ValueError("dropout: rng required in training mode")
-    keep = rng.keep_mask(x.data.shape, p, x.dtype)
+    xd = value(x)
+    keep = rng.keep_mask(xd.shape, p, xd.dtype)
     scale = 1.0 / (1.0 - p)
-    out = x.data * keep * scale
+    out = xd * keep * scale
+    if not _grad(x):
+        return out
 
     def back(g):
         return (g * keep * scale,)
@@ -330,33 +370,41 @@ def dropout(x: Tensor, p: float, training: bool, rng: Rng | None = None) -> Tens
     return _make(out, (x,), back)
 
 
-def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
+def embedding_lookup(table, ids: np.ndarray):
     """Row gather; backward scatter-adds into the table gradient."""
+    t = value(table)
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        bad = int(ids[(ids < 0) | (ids >= table.data.shape[0])][0])
-        raise IndexError(f"embedding_lookup: id {bad} out of range [0, {table.data.shape[0]})")
-    out = table.data[ids]
+    if ids.size and (ids.min() < 0 or ids.max() >= t.shape[0]):
+        bad = int(ids[(ids < 0) | (ids >= t.shape[0])][0])
+        raise IndexError(f"embedding_lookup: id {bad} out of range [0, {t.shape[0]})")
+    out = t[ids]
+    if not _grad(table):
+        return out
 
     def back(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros_like(t)
         np.add.at(gt, ids, g)
         return (gt,)
 
     return _make(out, (table,), back)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
+def reshape(a, shape):
+    x = value(a)
+    out = x.reshape(shape)
+    if not _grad(a):
+        return out
 
     def back(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(x.shape),)
 
     return _make(out, (a,), back)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    out = a.data.transpose(axes)
+def transpose(a, axes):
+    out = value(a).transpose(axes)
+    if not _grad(a):
+        return out
 
     def back(g):
         return (g.transpose(np.argsort(axes)),)

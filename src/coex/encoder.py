@@ -34,6 +34,7 @@ from .autograd import (
     reshape,
     softmax,
     transpose,
+    value,
 )
 
 PAD_ID = 0  # [PAD]; no tokenized text encodes to it
@@ -121,7 +122,7 @@ def embed_inputs(
     config: EncoderConfig,
     training: bool = False,
     rng: Rng | None = None,
-) -> Tensor:
+) -> Tensor | np.ndarray:
     """Sum of token, segment-0 and learned position embeddings, then dropout."""
     b, n = ids.shape
     if n > config.max_seq_len:
@@ -136,13 +137,13 @@ def embed_inputs(
     return dropout(h, config.dropout_p, training, rng)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor | np.ndarray:
     return add(matmul(x, w), b)
 
 
-def _uniform_attention(q: Tensor, k: Tensor, mask: np.ndarray, heads: int, reach: float):
-    """Attention weights [B, heads, L, L] when no float32 logit can move the
-    softmax off uniform, else None.
+def _uniform_attention(q, k, mask: np.ndarray, heads: int, reach: float):
+    """Attention weights, an ndarray [B, heads, L, L], when no float32 logit
+    can move the softmax off uniform, else None.
 
     |logit| <= reach · max|q| · max|k| with reach = head_dim · scale. Within
     2⁻²⁷, max-shifted logits lie in [-2⁻²⁶, 0], where float32 exp returns
@@ -158,7 +159,8 @@ def _uniform_attention(q: Tensor, k: Tensor, mask: np.ndarray, heads: int, reach
     """
     if q.dtype != np.float32:
         return None
-    largest = reach * float(np.abs(q.data).max(initial=0.0)) * float(np.abs(k.data).max(initial=0.0))
+    qd, kd = value(q), value(k)
+    largest = reach * float(np.abs(qd).max(initial=0.0)) * float(np.abs(kd).max(initial=0.0))
     if not largest <= UNIFORM_LOGIT_BOUND:
         return None
     keys = mask.astype(q.dtype)
@@ -166,12 +168,12 @@ def _uniform_attention(q: Tensor, k: Tensor, mask: np.ndarray, heads: int, reach
     keys /= np.add.reduce(keys, axis=1, keepdims=True)
     att = np.empty((mask.shape[0], heads, mask.shape[1], mask.shape[1]), dtype=q.dtype)
     att[...] = keys[:, None, None, :]
-    return Tensor(att)
+    return att
 
 
 def multi_head_attention(
-    x: Tensor, mask: np.ndarray, layer: LayerParams, config: EncoderConfig
-) -> Tensor:
+    x: Tensor | np.ndarray, mask: np.ndarray, layer: LayerParams, config: EncoderConfig
+) -> Tensor | np.ndarray:
     """Scaled dot-product attention per head; masked keys get weight exactly 0.
 
     x is [B·L, d] and mask [B, L]; each example attends only within its own
@@ -196,25 +198,25 @@ def multi_head_attention(
         logits = mul(matmul(q, k), scale)
         if not mask.all():  # adding an all-zero bias would change nothing
             bias = ((1 - mask) * MASK_BIAS).astype(x.dtype)[:, None, None, :]
-            logits = add(logits, Tensor(bias))
+            logits = add(logits, bias)
         att = softmax(logits, axis=-1)
     ctx = matmul(att, v)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * n, d))
     return _linear(ctx, layer.w_o, layer.b_o)
 
 
-def feed_forward(x: Tensor, layer: LayerParams) -> Tensor:
+def feed_forward(x: Tensor | np.ndarray, layer: LayerParams) -> Tensor | np.ndarray:
     return _linear(relu(_linear(x, layer.ffn_w1, layer.ffn_b1)), layer.ffn_w2, layer.ffn_b2)
 
 
 def encoder_layer(
-    x: Tensor,
+    x: Tensor | np.ndarray,
     mask: np.ndarray,
     layer: LayerParams,
     config: EncoderConfig,
     training: bool = False,
     rng: Rng | None = None,
-) -> Tensor:
+) -> Tensor | np.ndarray:
     a = dropout(multi_head_attention(x, mask, layer, config), config.dropout_p, training, rng)
     u = layer_norm(add(x, a), layer.ln1_gamma, layer.ln1_beta, config.ln_eps)
     f = dropout(feed_forward(u, layer), config.dropout_p, training, rng)
@@ -227,9 +229,10 @@ def encode(
     config: EncoderConfig,
     training: bool = False,
     rng: Rng | None = None,
-) -> Tensor:
+) -> Tensor | np.ndarray:
     """Full stack over [B, L] padded ids: embeddings plus num_layers encoder
-    layers, with [PAD] keys masked. Returns [B·L, model_dim]."""
+    layers, with [PAD] keys masked. Returns [B·L, model_dim], a plain ndarray
+    when no parameter requires grad."""
     mask = ids != PAD_ID
     h = embed_inputs(ids, params, config, training, rng)
     for layer in params.layers:

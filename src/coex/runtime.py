@@ -47,8 +47,9 @@ def model_fingerprint(params: ModelParams) -> str:
 class InferenceModel:
     """Frozen parameters plus everything needed to turn text into triples.
 
-    Tensors carry requires_grad=False, so extraction never allocates graph
-    nodes; the instance is safe to share across threads.
+    Tensors carry requires_grad=False, so extraction builds no Tensor: every
+    op unwraps them and returns plain arrays. The instance is safe to share
+    across threads.
     """
 
     params: ModelParams

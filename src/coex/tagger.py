@@ -31,6 +31,8 @@ from .autograd import (
     add,
     dropout,
     matmul,
+    value,
+    _grad,
     _make,
     _sigmoid_exp,
 )
@@ -43,6 +45,10 @@ from .encoder import (
     layer_shapes,
     pad_batch,
 )
+
+
+FEW_SPANS = 16  # condition_on_spans fills span by span up to this many spans
+_BAD_SPAN_ROW = "a span row is not 0 <= start <= end < its example's length"
 
 
 class SchemaError(ValueError):
@@ -196,20 +202,20 @@ def init_model_params(
 
 
 def subject_scores(
-    hidden: Tensor,
+    hidden: Tensor | np.ndarray,
     params: ModelParams,
     dropout_p: float = 0.0,
     training: bool = False,
     rng: Rng | None = None,
-) -> Tensor:
+) -> Tensor | np.ndarray:
     """Subject pointer logits [n, 2]: column 0 = start, 1 = end."""
     h = dropout(hidden, dropout_p, training, rng)
     return add(matmul(h, params.subject_w), params.subject_b)
 
 
 def relation_object_scores(
-    hidden: Tensor, spans: list[np.ndarray], lengths: list[int], params: ModelParams
-) -> Tensor:
+    hidden: Tensor | np.ndarray, spans: list[np.ndarray], lengths: list[int], params: ModelParams
+) -> Tensor | np.ndarray:
     """Logits [sum of len(spans[b]) * lengths[b], 2R], where spans[b] is example
     b's int64 [k, 2] array of (start, end) rows: per example, one block of
     its rows per span, each hidden·W plus that span's mean hidden row·W, plus
@@ -307,11 +313,11 @@ def decode_objects(
     return [(int(c), Span(int(s), int(e))) for c, s, e in zip(rels, starts, stops)]
 
 
-def condition_on_subject(hidden: Tensor, span: Span) -> Tensor:
+def condition_on_subject(hidden: Tensor | np.ndarray, span: Span) -> Tensor | np.ndarray:
     """Add the mean hidden vector over the span's rows to every position.
 
     Nothing in coex calls it any more; bench/tracing.py still wraps it by
-    name, and ROADMAP item 3 deletes it."""
+    name, and ROADMAP item 4 deletes it."""
     return add(hidden, condition_on_spans(hidden, [span_rows([span])], [hidden.shape[0]]))
 
 
@@ -334,8 +340,8 @@ def _span_blocks(rows: int, spans: list[np.ndarray], lengths: list[int]):
 
 
 def condition_on_spans(
-    hidden: Tensor, spans: list[np.ndarray], lengths: list[int]
-) -> Tensor:
+    hidden: Tensor | np.ndarray, spans: list[np.ndarray], lengths: list[int]
+) -> Tensor | np.ndarray:
     """Mean hidden row of every span of a padded batch: [sum of len(spans[b]), d].
 
     hidden is [B·L, d]; example b has the [k, 2] (start, end) rows spans[b]
@@ -343,42 +349,60 @@ def condition_on_spans(
     0 <= start <= end < lengths[b] raises ValueError. Rows follow the spans
     example by example. One matmul by a constant averaging matrix, so the
     gradient needs no backward of its own.
+
+    Up to FEW_SPANS spans (extraction's few decoded subjects) the matrix is
+    filled one slice per span; above it (a training batch's hundreds) by one
+    indexed assignment, whose fixed numpy cost the loop would not repay. Both
+    fills write the same bytes.
     """
     rows = hidden.shape[0]
     blocks = _span_blocks(rows, spans, lengths)
-    avg = np.zeros((sum(len(ss) for ss in spans), rows), dtype=hidden.dtype)
-    if blocks:
+    total = sum(len(ss) for ss in spans)
+    avg = np.zeros((total, rows), dtype=hidden.dtype)
+    if total <= FEW_SPANS:
+        for first, n, lo, ss, _ in blocks:
+            for i, (start, end) in enumerate(ss.tolist(), lo):
+                if not 0 <= start <= end < n:
+                    raise ValueError(_BAD_SPAN_ROW)
+                avg[i, first + start : first + end + 1] = 1.0 / (end - start + 1)
+    else:
         first, n, _, ss, _ = zip(*blocks)
         counts = [len(s) for s in ss]
         local, first, limit = np.concatenate(ss), np.repeat(first, counts), np.repeat(n, counts)
         start, end = local[:, 0], local[:, 1]
         if not ((start >= 0) & (end >= start) & (end < limit)).all():
-            raise ValueError("a span row is not 0 <= start <= end < its example's length")
+            raise ValueError(_BAD_SPAN_ROW)
         # one cell per hidden row a span covers
         length = end - start + 1
         start = start + first
         span = np.repeat(np.arange(len(local)), length)
         token = np.arange(len(span)) - (np.cumsum(length) - length - start)[span]
         avg[span, token] = (1.0 / length)[span]
-    return matmul(Tensor(avg), hidden)
+    return matmul(avg, hidden)
 
 
 def _pack_span_blocks(
-    tokens: Tensor, per_span: Tensor, bias: Tensor, spans: list[np.ndarray], lengths: list[int]
-) -> Tensor:
+    tokens: Tensor | np.ndarray,
+    per_span: Tensor | np.ndarray,
+    bias: Tensor,
+    spans: list[np.ndarray],
+    lengths: list[int],
+) -> Tensor | np.ndarray:
     """Per example b and each of its spans s, the block tokens[rows of b] +
     per_span[s], packed into [sum of len(spans[b]) * lengths[b], C], with bias
     added to every row in place. Backward sums each block over its spans for
     the token rows and over its tokens for the span rows, and sums every row
     for the bias."""
-    t, s = tokens.data, per_span.data
+    t, s = value(tokens), value(per_span)
     c = t.shape[1]
     blocks = _span_blocks(t.shape[0], spans, lengths)
     out = np.empty((sum(len(ss) * n for ss, n in zip(spans, lengths)), c), dtype=t.dtype)
     for first, n, lo, ss, at in blocks:
         k = len(ss)
         np.add(t[None, first : first + n], s[lo : lo + k, None], out=out[at : at + k * n].reshape(k, n, c))
-    out += bias.data
+    out += value(bias)
+    if not (_grad(tokens) or _grad(per_span) or _grad(bias)):
+        return out
 
     def back(g):
         gt, gs = np.zeros_like(t), np.zeros_like(s)
@@ -393,12 +417,12 @@ def _pack_span_blocks(
 
 
 def pointer_bce(
-    logits: Tensor,
+    logits: Tensor | np.ndarray,
     rows: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
     row_weights: np.ndarray,
-) -> Tensor:
+) -> Tensor | np.ndarray:
     """Weighted sum of squared-sigmoid BCE terms, fused with the logits.
 
     labels and weights (broadcast to labels) cover the gold rows
@@ -414,7 +438,7 @@ def pointer_bce(
     the per-entry gradient is the bounded closed form
     -2y(1-s) + (1-y)*2s^2/(1+s) with s = sigmoid(logit).
     """
-    z = logits.data
+    z = value(logits)
     zg = z[rows]
     labels = np.asarray(labels, dtype=z.dtype)
     if labels.shape != zg.shape:
@@ -433,6 +457,8 @@ def pointer_bce(
     per *= row_weights
     per[rows] = per_g
     out = np.asarray(per.sum(), dtype=z.dtype)
+    if not _grad(logits):
+        return out
 
     def back(g):
         # the label-0 form 2s^2/(1+s) everywhere, then the two-label form on the gold rows
@@ -458,7 +484,7 @@ class SubjectAnnotation:
 
 @dataclass
 class LossParts:
-    total: Tensor
+    total: Tensor | np.ndarray
     subject: float
     relation: float
 
@@ -596,7 +622,7 @@ def joint_loss(
         r_logits = relation_object_scores(h, spans, lengths, params)
         l_relation = pointer_bce(r_logits, rows, labels, weights, row_weights)
     else:
-        l_relation = Tensor(np.asarray(0.0, dtype=dtype))
+        l_relation = np.asarray(0.0, dtype=dtype)
     return LossParts(
         total=add(l_subject, l_relation),
         subject=l_subject.item(),
@@ -636,12 +662,12 @@ def extract_triples(
 
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
-    subj_spans = decode_subject_spans(subject_scores(hidden, params).data, mask, threshold)
+    subj_spans = decode_subject_spans(value(subject_scores(hidden, params)), mask, threshold)
     subj_spans = sorted(subj_spans, key=lambda sp: (sp.start, sp.end))
     if not subj_spans:
         return triples
     n = len(ids)
-    logits = relation_object_scores(hidden, [span_rows(subj_spans)], [n], params).data
+    logits = value(relation_object_scores(hidden, [span_rows(subj_spans)], [n], params))
     for i, s_span in enumerate(subj_spans):
         for rel, o_span in decode_objects(logits[i * n : (i + 1) * n], mask, threshold):
             t = Triple(

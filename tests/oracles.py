@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from coex.autograd import Tensor, _make, _sigmoid_exp, add, dropout, matmul, mul
+from coex.autograd import Tensor, _make, _sigmoid_exp, add, dropout, matmul, mul, value
 from coex.data import CLS_ID, NEGATIVE_MAX_SPAN, SEP_ID, _truncate, tokenize
 from coex.encoder import PAD_ID, encode
 from coex.tagger import (
@@ -60,12 +60,13 @@ def bce_mean(scores: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("bce_mean: weights sum to zero")
-    s = np.clip(scores.data, BCE_CLIP, 1.0 - BCE_CLIP)
+    x = value(scores)
+    s = np.clip(x, BCE_CLIP, 1.0 - BCE_CLIP)
     per = -(labels * np.log(s) + (1.0 - labels) * np.log1p(-s))
     out = np.asarray((per * weights).sum() / total, dtype=scores.dtype)
 
     def back(g):
-        inside = (scores.data > BCE_CLIP) & (scores.data < 1.0 - BCE_CLIP)
+        inside = (x > BCE_CLIP) & (x < 1.0 - BCE_CLIP)
         ds = weights * (s - labels) / (s * (1.0 - s)) / total
         return (g * ds * inside,)
 
@@ -287,11 +288,11 @@ def extract_triples_per_subject(text, params, config, vocab, schema, threshold=0
     ids = vocab.encode(tokens)
     hidden = encode(ids[None], params.encoder, config)
     mask = content_mask(ids, CLS_ID, SEP_ID)
-    subjects = decode_subject_spans(subject_scores(hidden, params).data, mask, threshold)
+    subjects = decode_subject_spans(value(subject_scores(hidden, params)), mask, threshold)
     triples, seen, scores = [], set(), []
     for s_span in sorted(subjects, key=lambda sp: (sp.start, sp.end)):
         conditioned = condition_on_subject(hidden, s_span)
-        logits = add(matmul(conditioned, params.relation_w), params.relation_b).data
+        logits = value(add(matmul(conditioned, params.relation_w), params.relation_b))
         scores.append(squared_score(logits))
         for rel, o_span in decode_objects(logits, mask, threshold):
             t = Triple(
@@ -328,7 +329,7 @@ def sigmoid_where(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid_exp(a.data)[0]
+    out = _sigmoid_exp(value(a))[0]
 
     def back(g):
         return (g * out * (1.0 - out),)
@@ -337,10 +338,11 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    out = a.data * a.data
+    x = value(a)
+    out = x * x
 
     def back(g):
-        return (g * 2.0 * a.data,)
+        return (g * 2.0 * x,)
 
     return _make(out, (a,), back)
 
@@ -354,7 +356,7 @@ def squared_score(logits: np.ndarray) -> np.ndarray:
 def pointer_bce_dense(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
     """pointer_bce with every cell's label and weight given: both label terms
     evaluated on every cell, out of place."""
-    z = logits.data
+    z = value(logits)
     labels = np.asarray(labels, dtype=z.dtype)
     weights = np.broadcast_to(np.asarray(weights, dtype=z.dtype), z.shape)
     e = np.exp(-np.abs(z))

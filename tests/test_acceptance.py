@@ -16,9 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coex.autograd import Rng, grad_check
+from coex.autograd import Rng, Tensor, grad_check, value
 from coex.cli import main as cli_main
 from coex.data import (
+    CLS_ID,
+    SEP_ID,
     RawExample,
     RawTriple,
     SynthConfig,
@@ -35,11 +37,15 @@ from coex.encoder import EncoderConfig, encode
 from coex.evaluator import f1, score_triples, t_test, triples_to_payload
 from coex.runtime import create_server, export_model, load_inference_model
 from coex.tagger import (
+    ModelParams,
     RelationSchema,
+    content_mask,
+    decode_subject_spans,
     extract_triples,
     init_model_params,
     joint_loss,
     relation_object_scores,
+    span_rows,
     subject_scores,
 )
 from coex.trainer import TrainConfig, read_checkpoint, save_checkpoint, train
@@ -234,12 +240,12 @@ def _scores_for(text: str, params, cfg, vocab):
     tokens, _ = tokenize(text)
     ids = vocab.encode(tokens)
     hidden = encode(ids[None], params.encoder, cfg, training=False)
-    subj = squared_score(subject_scores(hidden, params).data)
+    subj = squared_score(value(subject_scores(hidden, params)))
     start = int(np.argmax(subj[:, 0]))
     end = int(np.argmax(subj[start:, 1])) + start
     spans, lengths = [np.array([[start, end]], dtype=np.int64)], [len(ids)]
     rel = relation_object_scores(hidden, spans, lengths, params)
-    return subj, squared_score(rel.data)
+    return subj, squared_score(value(rel))
 
 
 def test_criterion_08_inference_parity(big_run):
@@ -256,6 +262,51 @@ def test_criterion_08_inference_parity(big_run):
     ok = worst <= 1e-6
     _line(8, ok, f"max |score diff| training params vs exported inference path="
                  f"{worst:.2e} (<=1e-6) over 20 texts")
+
+
+def test_extraction_builds_no_tensor(big_run, monkeypatch):
+    made = []
+    real_init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    triples = [big_run.model.extract(ex.text) for ex in big_run.holdout[:20]]
+    monkeypatch.undo()
+    assert sum(map(len, triples)) >= 20  # the relation head ran on these texts
+    assert made == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_forward_equals_recording_forward_bit_for_bit(big_run, dtype):
+    # the same arrays, once as frozen tensors (ops return ndarrays) and once
+    # with requires_grad (ops record a graph): the forward math is one copy
+    model = big_run.model
+    frozen = model.params.map(lambda a: a.astype(dtype)).freeze()
+    recording = ModelParams.from_named({name: t.data for name, t in frozen.named_tensors()})
+    cfg = model.config
+    decoded = 0
+    for ex in big_run.holdout[:50]:
+        ids = model.vocab.encode(tokenize(ex.text)[0])
+        n = len(ids)
+        hidden = encode(ids[None], frozen.encoder, cfg)
+        subj = subject_scores(hidden, frozen)
+        subjects = decode_subject_spans(subj, content_mask(ids, CLS_ID, SEP_ID), model.threshold)
+        decoded += len(subjects)
+        # the decoded subjects, and every span of up to 3 tokens: both fills
+        every = [(s, e) for s in range(n) for e in range(s, min(s + 3, n))]
+        span_sets = [span_rows(subjects), np.array(every, dtype=np.int64)]
+        rels = [relation_object_scores(hidden, [ss], [n], frozen) for ss in span_sets]
+        r_hidden = encode(ids[None], recording.encoder, cfg)
+        r_subj = subject_scores(r_hidden, recording)
+        r_rels = [relation_object_scores(r_hidden, [ss], [n], recording) for ss in span_sets]
+        for got, want in zip([hidden, subj, *rels], [r_hidden, r_subj, *r_rels]):
+            assert type(got) is np.ndarray and want.requires_grad
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.data.tobytes(), ex.text
+    assert decoded >= 50
 
 
 def test_criterion_09_loss_halves(big_run):

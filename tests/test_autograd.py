@@ -6,18 +6,22 @@ import pytest
 from coex.autograd import (
     Rng,
     Tensor,
+    add,
     backward,
     dropout,
     embedding_lookup,
     grad_check,
     layer_norm,
     matmul,
+    mul,
+    neg,
     relu,
     reshape,
     softmax,
     tensor,
     transpose,
     tsum,
+    value,
     _sigmoid_exp,
 )
 from oracles import layer_norm_ref, sigmoid, sigmoid_where, softmax_ref, square
@@ -28,7 +32,7 @@ def test_matmul_known_product():
     b = tensor([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
     out = matmul(a, b)
     # hand product: [[7+18+33, 8+20+36], [28+45+66, 32+50+72]]
-    np.testing.assert_allclose(out.data, [[58.0, 64.0], [139.0, 154.0]])
+    np.testing.assert_allclose(out, [[58.0, 64.0], [139.0, 154.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -56,7 +60,7 @@ def test_batched_matmul_matches_loop():
     b = tensor(rng.normal(size=(4, 6, 3)).astype(np.float32))
     out = matmul(a, b)
     for i in range(4):
-        np.testing.assert_allclose(out.data[i], a.data[i] @ b.data[i], rtol=1e-5)
+        np.testing.assert_allclose(out[i], a.data[i] @ b.data[i], rtol=1e-5)
 
 
 def test_add_vector_broadcast_grad_sums_over_rows():
@@ -82,17 +86,17 @@ def test_softmax_rows_match_reference():
     out = softmax(x, axis=-1)
     ref0 = [math.exp(i) for i in (1.0, 2.0, 3.0)]
     ref0 = [v / sum(ref0) for v in ref0]
-    np.testing.assert_allclose(out.data[0], ref0, rtol=1e-6)
-    np.testing.assert_allclose(out.data[1], [1 / 3] * 3, rtol=1e-6)
-    np.testing.assert_allclose(out.data.sum(axis=-1), [1.0, 1.0], rtol=1e-6)
+    np.testing.assert_allclose(out[0], ref0, rtol=1e-6)
+    np.testing.assert_allclose(out[1], [1 / 3] * 3, rtol=1e-6)
+    np.testing.assert_allclose(out.sum(axis=-1), [1.0, 1.0], rtol=1e-6)
 
 
 def test_softmax_shift_invariance_and_overflow_safety():
     x = np.array([[1000.0, 1001.0, 1002.0]], dtype=np.float32)
     out = softmax(tensor(x), axis=-1)
     ref = softmax(tensor(x - 1000.0), axis=-1)
-    assert np.all(np.isfinite(out.data))
-    np.testing.assert_allclose(out.data, ref.data, rtol=1e-6)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, ref, rtol=1e-6)
 
 
 def test_softmax_axis_out_of_range():
@@ -140,7 +144,7 @@ def test_layer_norm_reference_vector():
     out = layer_norm(x, gamma, beta, eps=1e-5)
     # population variance of [1,2,3] is 2/3; (x-2)/sqrt(2/3 + 1e-5)
     sigma = math.sqrt(2.0 / 3.0 + 1e-5)
-    np.testing.assert_allclose(out.data[0], [-1.0 / sigma, 0.0, 1.0 / sigma], rtol=1e-5)
+    np.testing.assert_allclose(out[0], [-1.0 / sigma, 0.0, 1.0 / sigma], rtol=1e-5)
 
 
 def test_layer_norm_scale_shift():
@@ -149,7 +153,7 @@ def test_layer_norm_scale_shift():
     beta = tensor(np.full(4, -1.0, dtype=np.float32))
     out = layer_norm(x, gamma, beta)
     base = layer_norm(x, tensor(np.ones(4, dtype=np.float32)), tensor(np.zeros(4, dtype=np.float32)))
-    np.testing.assert_allclose(out.data, 3.0 * base.data - 1.0, rtol=1e-5)
+    np.testing.assert_allclose(out, 3.0 * base - 1.0, rtol=1e-5)
 
 
 def test_layer_norm_mismatched_gamma_raises():
@@ -166,10 +170,10 @@ def test_layer_norm_and_softmax_equal_mean_and_sum_oracles_bit_for_bit():
         x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
         gamma = rng.normal(size=shape[-1]).astype(dtype)
         beta = rng.normal(size=shape[-1]).astype(dtype)
-        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5).data
+        out = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5)
         assert np.array_equal(out, layer_norm_ref(x, gamma, beta, 1e-5))
         for axis in range(-x.ndim, x.ndim):
-            assert np.array_equal(softmax(Tensor(x), axis=axis).data, softmax_ref(x, axis))
+            assert np.array_equal(softmax(Tensor(x), axis=axis), softmax_ref(x, axis))
 
 
 def test_dropout_identity_cases():
@@ -189,10 +193,10 @@ def test_dropout_invalid_p():
 def test_dropout_scales_survivors_and_zeroes_the_rest():
     x = tensor(np.ones((40, 50), dtype=np.float32))
     out = dropout(x, 0.25, training=True, rng=Rng(123))
-    vals = np.unique(out.data)
+    vals = np.unique(out)
     np.testing.assert_allclose(sorted(vals), [0.0, 1.0 / 0.75], rtol=1e-6)
     # expectation preserved within a loose statistical band
-    assert abs(out.data.mean() - 1.0) < 0.05
+    assert abs(out.mean() - 1.0) < 0.05
 
 
 def test_dropout_gradient_uses_same_mask():
@@ -271,6 +275,51 @@ def test_transpose_reshape_round_trip_gradient():
     z = reshape(y, (6, 4))
     tsum(square(z)).backward()
     np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-6)
+
+
+def test_ops_without_grad_return_plain_arrays():
+    x = np.random.default_rng(13).normal(size=(2, 3)).astype(np.float32)
+    ones, zeros = np.ones(3, dtype=np.float32), np.zeros(3, dtype=np.float32)
+    for a in (x, Tensor(x)):
+        assert value(a) is x
+        outs = [
+            add(a, ones), neg(a), mul(a, 2.0), matmul(a, x.T), tsum(a), relu(a), softmax(a),
+            layer_norm(a, Tensor(ones), zeros), dropout(a, 0.5, training=True, rng=Rng(0)),
+            embedding_lookup(a, np.array([1, 0])), reshape(a, (3, 2)), transpose(a, (1, 0)),
+        ]
+        assert all(type(out) is np.ndarray for out in outs)
+
+
+@pytest.mark.parametrize(
+    "op, const_shape, grad_shape",
+    [
+        (lambda c, w: add(c, w), (3, 4), (4,)),
+        (lambda c, w: add(w, c), (4,), (3, 4)),
+        (lambda c, w: mul(c, w), (3, 4), (3, 4)),
+        (lambda c, w: matmul(c, w), (3, 4), (4, 2)),
+        (lambda c, w: matmul(w, c), (4, 2), (3, 4)),
+        (lambda c, w: layer_norm(w, c, c), (4,), (3, 4)),
+        (lambda c, w: layer_norm(c, w, w), (3, 4), (4,)),
+    ],
+    ids=["add-first", "add-second", "mul", "matmul-first", "matmul-second", "ln-gamma-beta", "ln-x"],
+)
+def test_array_operand_joins_the_graph_as_a_constant(op, const_shape, grad_shape):
+    # op(array, tensor) must give the gradient of op(Tensor(array), tensor)
+    rng = np.random.default_rng(12)
+    c = rng.normal(size=const_shape)
+    w0 = rng.normal(size=grad_shape)
+    outs, grads = [], []
+    for const in (c, Tensor(c)):
+        w = Tensor(w0.copy(), requires_grad=True)
+        out = op(const, w)
+        tsum(square(out)).backward()
+        outs.append(out)
+        grads.append(w.grad)
+    constants = [p for p in outs[0]._parents if not p.requires_grad]
+    assert outs[0].requires_grad and constants
+    assert all(type(p) is Tensor and p.data is c for p in constants)
+    assert np.array_equal(outs[0].data, outs[1].data)
+    assert np.array_equal(grads[0], grads[1])
 
 
 def test_grad_check_composite_float32():

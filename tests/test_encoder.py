@@ -128,8 +128,8 @@ def test_segment_gradient_is_the_row_scatter_bit_for_bit(seed):
 def test_attention_additive_mask_zeroes_weights_exactly():
     logits = tensor([[2.0, -1e9, 0.5]])
     w = softmax(logits, axis=-1)
-    assert w.data[0, 1] == 0.0
-    np.testing.assert_allclose(w.data.sum(), 1.0, rtol=1e-6)
+    assert w[0, 1] == 0.0
+    np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-6)
 
 
 def test_masked_value_rows_cannot_influence_output():
@@ -221,8 +221,7 @@ def test_encode_inference_mode_builds_no_graph():
     for _, p in _named(params):
         p.requires_grad = False
     out = encode(make_input([1, 2, 3]), params, cfg)
-    assert not out.requires_grad
-    assert out._parents == ()
+    assert type(out) is np.ndarray
 
 
 def _named(params: EncoderParams):
@@ -299,8 +298,8 @@ def _full_and_frozen_encode(x, params, cfg, calls, monkeypatch):
         p.requires_grad = False
     calls.clear()
     frozen = encode(x, params, cfg)
-    assert not frozen.requires_grad
-    return full.data, frozen.data, len(calls)
+    assert type(frozen) is np.ndarray
+    return full.data, frozen, len(calls)
 
 
 def _scale_attention(layer, s: float):

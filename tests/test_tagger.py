@@ -15,6 +15,7 @@ from coex.data import (
     generate_synthetic_corpus,
     sample_negatives,
 )
+from coex import tagger
 from coex.encoder import PAD_ID, EncoderConfig
 from coex.tagger import (
     LossWeighting,
@@ -259,7 +260,7 @@ def test_condition_on_subject_adds_span_mean():
     h = rng.normal(size=(6, 4)).astype(np.float32)
     out = condition_on_subject(Tensor(h), Span(2, 4))
     mean = h[2:5].mean(axis=0)
-    np.testing.assert_allclose(out.data, h + mean, rtol=1e-5)
+    np.testing.assert_allclose(out, h + mean, rtol=1e-5)
     with pytest.raises(ValueError):
         condition_on_subject(Tensor(h), Span(4, 6))
 
@@ -271,14 +272,14 @@ def test_condition_on_spans_matches_per_span_loop():
     means = condition_on_spans(Tensor(h), [span_rows(spans)], [5])
     for i, sp in enumerate(spans):
         single = condition_on_subject(Tensor(h), sp)
-        np.testing.assert_allclose(means.data[i], (single.data - h)[0], rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(means[i], (single - h)[0], rtol=1e-5, atol=1e-7)
     # a padded batch of three: example 1 has no spans, example 2 is 3 rows
     # long in a 5-row slot; one mean per span, example by example
     h3 = rng.normal(size=(15, 3)).astype(np.float32)
     spans3 = [span_array((0, 4), (2, 2)), span_array(), span_array((1, 2))]
     packed = condition_on_spans(Tensor(h3), spans3, [5, 4, 3])
     want = [h3[0:5].mean(axis=0), h3[2], h3[11:13].mean(axis=0)]
-    np.testing.assert_allclose(packed.data, np.stack(want), rtol=1e-5)
+    np.testing.assert_allclose(packed, np.stack(want), rtol=1e-5)
     with pytest.raises(ValueError):
         condition_on_spans(Tensor(h3), [span_array((1, 3)), span_array(), span_array()], [3, 4, 5])
 
@@ -309,7 +310,11 @@ def test_condition_on_spans_gradient():
     ],
     ids=["negative-start", "end-before-start", "end-past-n", "past-example-length", "count", "slot"],
 )
-def test_malformed_span_rows_are_refused(spans, lengths):
+@pytest.mark.parametrize("few", [tagger.FEW_SPANS, 0], ids=["span-by-span", "indexed"])
+def test_malformed_span_rows_are_refused(spans, lengths, few, monkeypatch):
+    # both averaging fills run every case: few = 0 sends even one span to the
+    # indexed fill
+    monkeypatch.setattr(tagger, "FEW_SPANS", few)
     h = Tensor(np.ones((10, 3), dtype=np.float32))
     with pytest.raises(ValueError):
         condition_on_spans(h, spans, lengths)
@@ -319,20 +324,55 @@ def test_malformed_span_rows_are_refused(spans, lengths):
         relation_object_scores(Tensor(np.ones((10, cfg.model_dim), dtype=np.float32)), spans, lengths, params)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_condition_on_spans_matrix_equals_span_loop(dtype):
-    # hidden = I reads the averaging matrix back exactly: each cell is one
-    # product with 1 plus exact zeros
-    from oracles import span_average_loop
+def _round_robin(spans: list[np.ndarray], count: int) -> list[np.ndarray]:
+    """The first rows of each span array, count in total, taken one example
+    at a time in turn."""
+    taken = [0] * len(spans)
+    while sum(taken) < count:
+        for b, ss in enumerate(spans):
+            if taken[b] < len(ss) and sum(taken) < count:
+                taken[b] += 1
+    return [ss[:k] for ss, k in zip(spans, taken)]
 
-    batch, _, _ = _mixed_length_batch()
-    lengths = [len(ex.input_ids) for ex in batch] + [4]
+
+def _recipe_sized_spans(seed=7):
+    """(spans, lengths) of 8 examples with the recipe's 128 negatives per
+    positive: some 500 spans."""
+    corpus = generate_synthetic_corpus(SynthConfig(n_sentences=8, overlap_fraction=0.3, seed=seed))
+    examples = encode_corpus(corpus, build_vocab(corpus), default_schema(), 128)
+    rng = Rng(seed)
+    for ex in examples:
+        sample_negatives(ex, 128, rng)
     spans = [
         np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
-        for ex in batch
-    ] + [span_array()]
+        for ex in examples
+    ]
+    return spans, [len(ex.input_ids) for ex in examples]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [1, tagger.FEW_SPANS, tagger.FEW_SPANS + 1, "mixed", "recipe"])
+def test_condition_on_spans_matrix_equals_span_loop(dtype, count):
+    # hidden = I reads the averaging matrix back exactly: each cell is one
+    # product with 1 plus exact zeros. Up to FEW_SPANS spans take the
+    # span-by-span fill, more the indexed one.
+    from oracles import span_average_loop
+
+    if count == "recipe":
+        spans, lengths = _recipe_sized_spans()
+    else:
+        batch, _, _ = _mixed_length_batch()
+        lengths = [len(ex.input_ids) for ex in batch] + [4]
+        spans = [
+            np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
+            for ex in batch
+        ] + [span_array()]
+        if count != "mixed":
+            spans = _round_robin(spans, count)
+    total = sum(len(ss) for ss in spans)
+    assert total == count if isinstance(count, int) else total > 2 * tagger.FEW_SPANS
     rows = max(lengths) * len(lengths)
-    got = condition_on_spans(Tensor(np.eye(rows, dtype=dtype)), spans, lengths).data
+    got = condition_on_spans(Tensor(np.eye(rows, dtype=dtype)), spans, lengths)
     want = span_average_loop(rows, spans, lengths, dtype)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -946,7 +986,6 @@ def test_extract_triples_handles_overlong_text():
 
 
 def test_extract_triples_all_subjects_in_one_call_matches_per_subject_oracle(monkeypatch):
-    import coex.tagger as tagger
     from coex.trainer import TrainConfig, train
     from oracles import extract_triples_per_subject
 
