@@ -310,18 +310,19 @@ def test_condition_on_spans_gradient():
     ],
     ids=["negative-start", "end-before-start", "end-past-n", "past-example-length", "count", "slot"],
 )
-@pytest.mark.parametrize("few", [tagger.FEW_SPANS, 0], ids=["span-by-span", "indexed"])
-def test_malformed_span_rows_are_refused(spans, lengths, few, monkeypatch):
-    # both averaging fills run every case: few = 0 sends even one span to the
-    # indexed fill
-    monkeypatch.setattr(tagger, "FEW_SPANS", few)
-    h = Tensor(np.ones((10, 3), dtype=np.float32))
-    with pytest.raises(ValueError):
-        condition_on_spans(h, spans, lengths)
+def test_malformed_span_rows_are_refused(spans, lengths, monkeypatch):
     cfg = small_config()
     params = init_model_params(cfg, num_relations=2, rng=Rng(6))
-    with pytest.raises(ValueError):
-        relation_object_scores(Tensor(np.ones((10, cfg.model_dim), dtype=np.float32)), spans, lengths, params)
+    h = Tensor(np.ones((10, 3), dtype=np.float32))
+    wide = Tensor(np.ones((10, cfg.model_dim), dtype=np.float32))
+    # both averaging fills run every case: FEW_SPANS = 0 sends even one span
+    # to the indexed fill
+    for few in (tagger.FEW_SPANS, 0):
+        monkeypatch.setattr(tagger, "FEW_SPANS", few)
+        with pytest.raises(ValueError):
+            condition_on_spans(h, spans, lengths)
+        with pytest.raises(ValueError):
+            relation_object_scores(wide, spans, lengths, params)
 
 
 def _round_robin(spans: list[np.ndarray], count: int) -> list[np.ndarray]:
@@ -351,31 +352,30 @@ def _recipe_sized_spans(seed=7):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("count", [1, tagger.FEW_SPANS, tagger.FEW_SPANS + 1, "mixed", "recipe"])
-def test_condition_on_spans_matrix_equals_span_loop(dtype, count):
+def test_condition_on_spans_matrix_equals_span_loop(dtype):
     # hidden = I reads the averaging matrix back exactly: each cell is one
     # product with 1 plus exact zeros. Up to FEW_SPANS spans take the
     # span-by-span fill, more the indexed one.
     from oracles import span_average_loop
 
-    if count == "recipe":
-        spans, lengths = _recipe_sized_spans()
-    else:
-        batch, _, _ = _mixed_length_batch()
-        lengths = [len(ex.input_ids) for ex in batch] + [4]
-        spans = [
-            np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
-            for ex in batch
-        ] + [span_array()]
-        if count != "mixed":
-            spans = _round_robin(spans, count)
-    total = sum(len(ss) for ss in spans)
-    assert total == count if isinstance(count, int) else total > 2 * tagger.FEW_SPANS
-    rows = max(lengths) * len(lengths)
-    got = condition_on_spans(Tensor(np.eye(rows, dtype=dtype)), spans, lengths)
-    want = span_average_loop(rows, spans, lengths, dtype)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    batch, _, _ = _mixed_length_batch()
+    mixed_lengths = [len(ex.input_ids) for ex in batch] + [4]
+    mixed = [
+        np.concatenate([span_rows(sub.span for sub in ex.subjects), ex.negative_spans])
+        for ex in batch
+    ] + [span_array()]
+    cases = {count: (_round_robin(mixed, count), mixed_lengths)
+             for count in (1, tagger.FEW_SPANS, tagger.FEW_SPANS + 1)}
+    cases["mixed"] = (mixed, mixed_lengths)
+    cases["recipe"] = _recipe_sized_spans()
+    for case, (spans, lengths) in cases.items():
+        total = sum(len(ss) for ss in spans)
+        assert total == case if isinstance(case, int) else total > 2 * tagger.FEW_SPANS
+        rows = max(lengths) * len(lengths)
+        got = condition_on_spans(Tensor(np.eye(rows, dtype=dtype)), spans, lengths)
+        want = span_average_loop(rows, spans, lengths, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
 
 
 def test_relation_head_matches_unfactorized_oracle():
