@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -132,6 +133,8 @@ def load_inference_model(path) -> InferenceModel:
 # ---------------------------------------------------------------------------
 # HTTP service
 
+MAX_BODY_BYTES = 1 << 20  # the largest POST body the service reads
+
 
 def _close_with_self_byte_count(head: str) -> bytes:
     """Close the JSON object `head` (open, at least one member) with a last
@@ -147,14 +150,18 @@ def _close_with_self_byte_count(head: str) -> bytes:
     return head + b"%d}" % n
 
 
+def _error(message: str) -> bytes:
+    return json.dumps({"error": message}).encode("utf-8")
+
+
 def _extract_response(model: InferenceModel, raw: bytes) -> tuple[int, bytes]:
     start = time.perf_counter()
     try:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
-        return 400, json.dumps({"error": "body is not valid JSON"}).encode("utf-8")
+        return 400, _error("body is not valid JSON")
     if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
-        return 400, json.dumps({"error": 'body must be {"text": "..."}'}).encode("utf-8")
+        return 400, _error('body must be {"text": "..."}')
     text = obj["text"]
     triples = json.dumps(triples_to_payload(model.extract(text)), ensure_ascii=False)
     trailer = {
@@ -162,25 +169,72 @@ def _extract_response(model: InferenceModel, raw: bytes) -> tuple[int, bytes]:
         "model_version": model.model_version,
         "request_bytes": len(raw),
         # parsing, extraction, the truncation check and serializing the
-        # triples; formatting this trailer and the transfer are excluded
+        # triples; formatting this trailer, the transfer and the wait for
+        # the extraction lock are excluded
         "latency_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }
     head = '{"triples": ' + triples + ", " + json.dumps(trailer, ensure_ascii=False)[1:-1]
     return 200, _close_with_self_byte_count(head)
 
 
+def _refuse_body(headers) -> tuple[int, str] | None:
+    """Status and message for a POST body that cannot be read safely, else None.
+
+    The body is framed by one decimal Content-Length of at most
+    MAX_BODY_BYTES. Chunked bodies are not decoded. A refused body is never
+    read, so the connection closes after the answer.
+    """
+    if "Transfer-Encoding" in headers:
+        return 411, "chunked bodies are not accepted; send Content-Length"
+    lengths = headers.get_all("Content-Length", [])
+    if not lengths:
+        return 411, "Content-Length is required"
+    value = lengths[0].strip()
+    if len(lengths) > 1 or not (value.isascii() and value.isdigit()):
+        return 400, "Content-Length must be one non-negative integer"
+    if int(value) > MAX_BODY_BYTES:
+        return 413, f"body exceeds {MAX_BODY_BYTES} bytes"
+    return None
+
+
 def _make_handler(model: InferenceModel, quiet: bool = True):
+    """A handler class bound to one model and one extraction lock.
+
+    Every response leaves in one send: `wbufsize = -1` buffers `wfile`, and
+    `handle_one_request` flushes it once per request. Were the body sent
+    apart from the headers, Nagle's algorithm would hold it until the
+    client's delayed ACK, ~40 ms per keep-alive request. A body over the
+    8 KiB buffer still takes a second send, and that wait.
+
+    The lock lets one thread extract at a time, so concurrent requests do not
+    interleave inside `extract`. It is taken after the body has been read and
+    released before the response is written, so it is never held across
+    socket I/O, and a slow client stalls only its own thread.
+    """
+    lock = threading.Lock()
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        wbufsize = -1
 
         def log_message(self, fmt, *args):
             if not quiet:
                 BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
-        def _send(self, status: int, body: bytes):
+        def handle_expect_100(self):
+            # never ask for a body that do_POST refuses; and the interim
+            # answer must not wait in the buffer for the final one
+            if _refuse_body(self.headers) is None:
+                BaseHTTPRequestHandler.handle_expect_100(self)
+                self.wfile.flush()
+            return True
+
+        def _send(self, status: int, body: bytes, close: bool = False):
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -191,26 +245,34 @@ def _make_handler(model: InferenceModel, quiet: bool = True):
                 ).encode("utf-8")
                 self._send(200, body)
             else:
-                self._send(404, json.dumps({"error": "unknown path"}).encode("utf-8"))
+                self._send(404, _error("unknown path"))
 
         def do_POST(self):
+            # frame the body before routing, so that a keep-alive connection
+            # never reads a left-over body as its next request
+            refusal = _refuse_body(self.headers)
+            if refusal is not None:
+                status, message = refusal
+                self._send(status, _error(message), close=True)
+                return
+            length = int(self.headers["Content-Length"])
+            raw = self.rfile.read(length)
+            if len(raw) < length:  # the client closed mid-body
+                self.close_connection = True
+                return
             if self.path != "/extract":
-                self._send(404, json.dumps({"error": "unknown path"}).encode("utf-8"))
+                self._send(404, _error("unknown path"))
                 return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                length = 0
-            raw = self.rfile.read(max(length, 0))
-            try:
-                status, body = _extract_response(model, raw)
+                with lock:
+                    status, body = _extract_response(model, raw)
             except Exception:
                 # answer and keep the connection; the traceback goes to stderr
                 # even when quiet
                 BaseHTTPRequestHandler.log_message(
                     self, "internal error on %s:\n%s", self.path, traceback.format_exc()
                 )
-                status, body = 500, json.dumps({"error": "internal error"}).encode("utf-8")
+                status, body = 500, _error("internal error")
             self._send(status, body)
 
     return Handler
@@ -219,7 +281,15 @@ def _make_handler(model: InferenceModel, quiet: bool = True):
 def create_server(
     model: InferenceModel, address: tuple[str, int] = ("127.0.0.1", 0), quiet: bool = True
 ) -> ThreadingHTTPServer:
-    """Bind a threading HTTP server; the caller drives serve_forever."""
+    """Bind a threading HTTP server; the caller drives serve_forever.
+
+    A thread per connection reads requests and writes responses
+    concurrently; extraction runs one request at a time (see
+    `_make_handler`). A POST needs a Content-Length of at most MAX_BODY_BYTES:
+    a missing length or a chunked body is answered 411, an invalid length
+    400 and a larger one 413, each without reading the body and with
+    `Connection: close`.
+    """
     server = ThreadingHTTPServer(address, _make_handler(model, quiet))
     server.daemon_threads = True
     return server

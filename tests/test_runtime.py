@@ -3,6 +3,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from coex.data import (
     generate_synthetic_corpus,
 )
 from coex.encoder import EncoderConfig
-from coex.tagger import extract_triples, init_model_params, joint_loss
+from coex.tagger import Span, Triple, extract_triples, init_model_params, joint_loss
 from coex.trainer import (
     CheckpointFormatError,
     CheckpointIntegrityError,
@@ -26,6 +27,7 @@ from coex.trainer import (
     read_checkpoint,
 )
 from coex.runtime import (
+    MAX_BODY_BYTES,
     _close_with_self_byte_count,
     create_server,
     export_model,
@@ -387,3 +389,193 @@ def test_no_outbound_connections(served, monkeypatch):
         _post(address, "/extract", request)
     assert seen, "expected the test client itself to connect"
     assert all(addr[:2] == (address[0], address[1]) for addr in seen)
+
+
+def _stub_model(extract):
+    return SimpleNamespace(model_version="stub", extract=extract, truncates=lambda text: False)
+
+
+def _until_eof(address, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection; a
+    server that keeps it open fails the read by timeout."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _only_response(data: bytes) -> tuple[int, bytes, bytes]:
+    """Status, lower-cased head and body of `data`, which must hold exactly
+    one response framed by its Content-Length."""
+    head, _, body = data.partition(b"\r\n\r\n")
+    fields = dict(line.lower().split(b":", 1) for line in head.split(b"\r\n")[1:])
+    assert len(body) == int(fields[b"content-length"]), data
+    return int(head.split()[1]), head.lower(), body
+
+
+def test_each_response_leaves_in_one_send(monkeypatch):
+    many = [
+        Triple("主体" * 4, "功效", f"客体{i}", Span(1, 8), Span(10 + i, 12 + i))
+        for i in range(80)
+    ]
+
+    def extract(text):
+        if text == "boom":
+            raise RuntimeError("extract failed")
+        return many if text == "many" else many[:1]
+
+    with running(create_server(_stub_model(extract), ("127.0.0.1", 0))) as address:
+        sends = []
+
+        def recording(real):
+            # record before sending: the client may read the bytes before
+            # the call returns
+            def call(sock, data, *args):
+                mine = sock.getsockname() == address
+                if mine:
+                    sends.append(bytes(data))
+                n = real(sock, data, *args)
+                if mine and n is not None:  # send, not sendall: keep what left
+                    sends[-1] = sends[-1][:n]
+                return n
+            return call
+
+        monkeypatch.setattr(socket.socket, "send", recording(socket.socket.send))
+        monkeypatch.setattr(socket.socket, "sendall", recording(socket.socket.sendall))
+        conn = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            exchanges = [
+                ("POST", "/extract", b'{"text": "ok"}', 200),
+                ("POST", "/extract", b"not json", 400),
+                ("POST", "/nope", b'{"text": ""}', 404),
+                ("GET", "/healthz", None, 200),
+                ("POST", "/extract", b'{"text": "boom"}', 500),
+            ]
+            sock = None
+            for method, path, request, status in exchanges:
+                before = len(sends)
+                conn.request(method, path, body=request)
+                resp = conn.getresponse()
+                body = resp.read()
+                assert resp.status == status
+                sock = sock or conn.sock
+                assert conn.sock is sock and not resp.will_close
+                assert len(sends) == before + 1, (method, path, sends[before:])
+                head, _, sent_body = sends[-1].partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 %d " % status)
+                assert sent_body == body
+
+            # past the 8 KiB write buffer the body may take a second send;
+            # it still arrives whole and counts itself
+            conn.request("POST", "/extract", body=b'{"text": "many"}')
+            resp = conn.getresponse()
+            body = resp.read()
+            obj = json.loads(body)
+            assert resp.status == 200 and len(body) > 8192
+            assert obj["response_bytes"] == len(body)
+            assert len(obj["triples"]) == len(many)
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
+
+@pytest.mark.parametrize(
+    "framing, status",
+    [
+        (b"", 411),
+        (b"Transfer-Encoding: chunked\r\n", 411),
+        (b"Content-Length: -13\r\n", 400),
+        (b"Content-Length: 13x\r\n", 400),
+        (b"Content-Length: 13\r\nContent-Length: 13\r\n", 400),
+    ],
+    ids=["no-length", "chunked", "negative", "non-numeric", "two-lengths"],
+)
+def test_unframed_body_gets_one_answer_then_eof(served, framing, status):
+    _, address, _ = served
+    body = b'{"text": "x"}'
+    if b"chunked" in framing:
+        body = b"d\r\n" + body + b"\r\n0\r\n\r\n"
+    data = _until_eof(
+        address, b"POST /extract HTTP/1.1\r\nHost: coex\r\n" + framing + b"\r\n" + body
+    )
+    got, head, answer = _only_response(data)
+    assert got == status
+    assert b"\r\nconnection: close" in head
+    assert "error" in json.loads(answer)
+
+
+@pytest.mark.parametrize("expect", [b"", b"Expect: 100-continue\r\n"], ids=["plain", "expect-100"])
+def test_oversized_body_is_refused_before_it_is_read(served, expect):
+    _, address, _ = served
+    start = time.perf_counter()
+    data = _until_eof(
+        address,
+        b"POST /extract HTTP/1.1\r\nHost: coex\r\n%sContent-Length: %d\r\n\r\n"
+        % (expect, MAX_BODY_BYTES + 1),
+    )
+    assert time.perf_counter() - start < 2.0
+    status, head, answer = _only_response(data)
+    assert status == 413
+    assert b"\r\nconnection: close" in head
+    assert "error" in json.loads(answer)
+
+
+def test_expect_100_continue_is_answered_before_the_body(served):
+    _, address, corpus = served
+    request = json.dumps({"text": corpus[0].text}, ensure_ascii=False).encode("utf-8")
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(
+            b"POST /extract HTTP/1.1\r\nHost: coex\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(request)
+        )
+        interim = b""
+        while b"\r\n\r\n" not in interim:
+            interim += sock.recv(4096)
+        assert interim.startswith(b"HTTP/1.1 100 ")
+        sock.sendall(request)
+        final = interim.partition(b"\r\n\r\n")[2]
+        while b"\r\n\r\n" not in final:
+            final += sock.recv(4096)
+        assert final.startswith(b"HTTP/1.1 200 ")
+
+
+def test_extraction_runs_one_request_at_a_time():
+    inside, most = [0], [0]
+    count = threading.Lock()
+
+    def slow_extract(text):
+        with count:
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+        time.sleep(0.02)
+        with count:
+            inside[0] -= 1
+        return []
+
+    with running(create_server(_stub_model(slow_extract), ("127.0.0.1", 0))) as address:
+        statuses = []
+
+        def client():
+            for _ in range(3):
+                statuses.append(_post(address, "/extract", b'{"text": "x"}')[0])
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert statuses == [200] * 12
+        assert most[0] == 1
+
+        # a client stalled mid-body holds its own thread, never the lock
+        with socket.create_connection(address, timeout=5) as stalled:
+            stalled.sendall(
+                b"POST /extract HTTP/1.1\r\nHost: coex\r\nContent-Length: 100\r\n\r\n{\""
+            )
+            time.sleep(0.05)
+            start = time.perf_counter()
+            assert _post(address, "/extract", b'{"text": "x"}')[0] == 200
+            assert time.perf_counter() - start < 1.0
