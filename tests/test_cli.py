@@ -2,13 +2,12 @@ import json
 import math
 import socket
 from dataclasses import asdict
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 from coex.cli import build_parser, main, resolve_train_config
-from coex.runtime import load_inference_model
+from coex.runtime import ExtractionServer, load_inference_model
 from coex.trainer import TrainConfig, read_checkpoint
 
 TINY_CONFIG = {
@@ -215,7 +214,7 @@ def test_missing_model_is_a_diagnostic_not_a_crash(tmp_path, capsys):
 
 @pytest.fixture
 def serve_returns_at_once(monkeypatch):
-    monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda self, *a, **k: None)
+    monkeypatch.setattr(ExtractionServer, "serve_forever", lambda self, *a, **k: None)
 
 
 def test_serve_port_zero_reports_the_bound_port(trained, capsys, serve_returns_at_once):

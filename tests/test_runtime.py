@@ -28,6 +28,7 @@ from coex.trainer import (
 )
 from coex.runtime import (
     MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
     _close_with_self_byte_count,
     create_server,
     export_model,
@@ -406,13 +407,25 @@ def _until_eof(address, request: bytes) -> bytes:
     return b"".join(chunks)
 
 
+def _responses(data: bytes) -> list[tuple[int, bytes, bytes]]:
+    """Status, lower-cased head and body of each response in `data`, which
+    must hold nothing but responses framed by their Content-Length."""
+    found = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        fields = dict(line.lower().split(b":", 1) for line in head.split(b"\r\n")[1:])
+        length = int(fields[b"content-length"])
+        assert sep and len(rest) >= length, data
+        found.append((int(head.split()[1]), head.lower(), rest[:length]))
+        data = rest[length:]
+    return found
+
+
 def _only_response(data: bytes) -> tuple[int, bytes, bytes]:
     """Status, lower-cased head and body of `data`, which must hold exactly
     one response framed by its Content-Length."""
-    head, _, body = data.partition(b"\r\n\r\n")
-    fields = dict(line.lower().split(b":", 1) for line in head.split(b"\r\n")[1:])
-    assert len(body) == int(fields[b"content-length"]), data
-    return int(head.split()[1]), head.lower(), body
+    (only,) = _responses(data)
+    return only
 
 
 def test_each_response_leaves_in_one_send(monkeypatch):
@@ -467,16 +480,24 @@ def test_each_response_leaves_in_one_send(monkeypatch):
                 assert head.startswith(b"HTTP/1.1 %d " % status)
                 assert sent_body == body
 
-            # past the 8 KiB write buffer the body may take a second send;
-            # it still arrives whole and counts itself
-            conn.request("POST", "/extract", body=b'{"text": "many"}')
-            resp = conn.getresponse()
-            body = resp.read()
-            obj = json.loads(body)
-            assert resp.status == 200 and len(body) > 8192
-            assert obj["response_bytes"] == len(body)
-            assert len(obj["triples"]) == len(many)
-            assert conn.sock is sock
+            # a body over 8 KiB leaves in the same one send, so its keep-alive
+            # round trip does not wait ~40 ms for the client's delayed ACK
+            round_trips = []
+            for _ in range(5):
+                before = len(sends)
+                start = time.perf_counter()
+                conn.request("POST", "/extract", body=b'{"text": "many"}')
+                resp = conn.getresponse()
+                body = resp.read()
+                round_trips.append(time.perf_counter() - start)
+                obj = json.loads(body)
+                assert resp.status == 200 and len(body) > 8192
+                assert obj["response_bytes"] == len(body)
+                assert len(obj["triples"]) == len(many)
+                assert conn.sock is sock
+                assert len(sends) == before + 1
+                assert sends[-1].partition(b"\r\n\r\n")[2] == body
+            assert sorted(round_trips)[2] < 0.020, round_trips
         finally:
             conn.close()
 
@@ -504,6 +525,73 @@ def test_unframed_body_gets_one_answer_then_eof(served, framing, status):
     assert got == status
     assert b"\r\nconnection: close" in head
     assert "error" in json.loads(answer)
+
+
+def test_get_body_is_framed_before_the_next_request(served):
+    model, address, _ = served
+    data = _until_eof(
+        address,
+        b"GET /healthz HTTP/1.1\r\nHost: coex\r\nContent-Length: 12\r\n\r\n"
+        b'{"a": "bcd"}'
+        b"GET /healthz HTTP/1.1\r\nHost: coex\r\nConnection: close\r\n\r\n",
+    )
+    answers = _responses(data)
+    assert [status for status, _, _ in answers] == [200, 200]
+    health = {"status": "ok", "model_version": model.model_version}
+    assert all(json.loads(body) == health for _, _, body in answers)
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        (b"POST /extract\r\nHost: coex\r\n", 400),
+        (b"POST /extract HTTP/1.1\r\nHost coex\r\n", 400),
+        (b"POST /extract HTTP/1.1\r\nX-Pad: " + b"a" * MAX_HEAD_BYTES + b"\r\n", 431),
+        (b"POST /extract HTTP/1.1\r\n" + b"X-Pad: aaaaaaaa\r\n" * 4000, 431),
+        (b"DELETE /extract HTTP/1.1\r\nHost: coex\r\n", 501),
+        (b"POST /extract HTTP/2.0\r\nHost: coex\r\n", 505),
+    ],
+    ids=["request-line", "header-line", "long-line", "many-lines", "method", "version"],
+)
+def test_malformed_head_gets_one_answer_then_eof(served, head, status):
+    _, address, _ = served
+    got, answer_head, answer = _only_response(_until_eof(address, head + b"\r\n"))
+    assert got == status
+    assert b"\r\nconnection: close" in answer_head
+    assert "error" in json.loads(answer)
+
+
+@pytest.fixture()
+def short_timeout(monkeypatch):
+    monkeypatch.setattr("coex.runtime.REQUEST_TIMEOUT_S", 0.2)
+
+
+@pytest.mark.parametrize(
+    "partial",
+    [
+        b"POST /extract HTTP/1.1\r\nHost: coex\r\n",
+        b"POST /extract HTTP/1.1\r\nHost: coex\r\nContent-Length: 100\r\n\r\n{\"",
+    ],
+    ids=["head", "body"],
+)
+def test_stalled_request_is_answered_408_and_closed(served, short_timeout, partial):
+    _, address, _ = served
+    start = time.perf_counter()
+    status, head, answer = _only_response(_until_eof(address, partial))
+    assert time.perf_counter() - start < 2.0
+    assert status == 408
+    assert b"\r\nconnection: close" in head
+    assert "error" in json.loads(answer)
+
+
+def test_idle_connection_is_closed_without_an_answer(served, short_timeout):
+    _, address, _ = served
+    start = time.perf_counter()
+    assert _until_eof(address, b"") == b""
+    data = _until_eof(address, b"GET /healthz HTTP/1.1\r\nHost: coex\r\n\r\n")
+    assert time.perf_counter() - start < 2.0
+    status, head, _ = _only_response(data)
+    assert status == 200 and b"connection:" not in head
 
 
 @pytest.mark.parametrize("expect", [b"", b"Expect: 100-continue\r\n"], ids=["plain", "expect-100"])
@@ -570,7 +658,7 @@ def test_extraction_runs_one_request_at_a_time():
         assert statuses == [200] * 12
         assert most[0] == 1
 
-        # a client stalled mid-body holds its own thread, never the lock
+        # a client stalled mid-body holds only its own connection
         with socket.create_connection(address, timeout=5) as stalled:
             stalled.sendall(
                 b"POST /extract HTTP/1.1\r\nHost: coex\r\nContent-Length: 100\r\n\r\n{\""
@@ -579,3 +667,28 @@ def test_extraction_runs_one_request_at_a_time():
             start = time.perf_counter()
             assert _post(address, "/extract", b'{"text": "x"}')[0] == 200
             assert time.perf_counter() - start < 1.0
+
+
+def test_shutdown_with_clients_connected_leaves_no_thread():
+    before = set(threading.enumerate())
+    server = create_server(_stub_model(lambda text: []), ("127.0.0.1", 0))
+    address = server.server_address
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    with socket.create_connection(address, timeout=5) as idle, socket.create_connection(
+        address, timeout=5
+    ) as mid_body:
+        idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: coex\r\n\r\n")
+        assert idle.recv(65536).startswith(b"HTTP/1.1 200 ")
+        mid_body.sendall(b"POST /extract HTTP/1.1\r\nHost: coex\r\nContent-Length: 100\r\n\r\n{\"")
+        time.sleep(0.05)
+        start = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - start < 1.0
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert set(threading.enumerate()) <= before
+        assert idle.recv(65536) == b"" and mid_body.recv(65536) == b""
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=5).close()
